@@ -7,9 +7,7 @@ from .linalg import (
     HermitianEig,
     herm_eig,
     inv_sqrt_psd,
-    tensor_product,
     trace_distance,
-    trace_product,
 )
 from .states import (
     DensityOperator,
@@ -84,9 +82,7 @@ __all__ = [
     "random_kraus_channel",
     "random_povm",
     "resolve_ensemble",
-    "tensor_product",
     "trace_distance",
-    "trace_product",
     "two_state_leakage",
     "verify_properties",
 ]

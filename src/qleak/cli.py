@@ -74,8 +74,6 @@ def _ascent_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--no-backtracking", action="store_true",
                         help="disable step halving on objective decrease")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="restart-level parallelism")
 
 
 def _config_from_args(args) -> AscentConfig:
@@ -172,7 +170,7 @@ def _cmd_compute(args) -> int:
     ensemble, digest = resolve_ensemble(args.ensemble)
     cfg = _config_from_args(args)
     started = time.perf_counter()
-    report = compute_leakage(ensemble, cfg, threads=max(1, args.threads))
+    report = compute_leakage(ensemble, cfg)
     wall = time.perf_counter() - started
 
     manifest = _manifest("compute", cfg, cfg.resolved_povm_size(ensemble.dim),
@@ -220,8 +218,7 @@ def _cmd_noise_sweep(args) -> int:
             )
 
     started = time.perf_counter()
-    threads = max(1, args.threads)
-    q0 = compute_leakage(ensemble, cfg, threads=threads).leakage_bits
+    q0 = compute_leakage(ensemble, cfg).leakage_bits
     grid = np.linspace(args.p_start, args.p_end, args.p_steps)
     rows = []
     for p in grid:
@@ -232,8 +229,7 @@ def _cmd_noise_sweep(args) -> int:
         else:
             channel = depolarizing_local(p, qubits)
             formula = noisy_leakage_local_bound(q0, p, qubits)
-        direct = compute_leakage(ensemble.transform(channel), cfg,
-                                 threads=threads).leakage_bits
+        direct = compute_leakage(ensemble.transform(channel), cfg).leakage_bits
         ratio = direct / q0 if q0 > 1e-12 else 1.0
         rows.append((p, direct, formula, ratio))
     wall = time.perf_counter() - started
@@ -283,8 +279,7 @@ def _cmd_verify(args) -> int:
                 "injected_povm_valid", False, f"injected POVM rejected: {exc}")
 
     started = time.perf_counter()
-    report = verify_properties(ensemble, cfg, channel=channel,
-                               threads=max(1, args.threads), probe_povm=probe)
+    report = verify_properties(ensemble, cfg, channel=channel, probe_povm=probe)
     wall = time.perf_counter() - started
     if injected_failure is not None:
         report.checks.append(injected_failure)

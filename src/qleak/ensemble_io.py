@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,23 @@ from .states import (
 BUILTIN_PREFIX = "builtin:"
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; bool is an int subclass in Python, not in the schema."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _reject_bools(entries, context: str):
+    if isinstance(entries, bool):
+        raise EnsembleConfigError(f"{context}: entries must be numbers, got {entries!r}")
+    if isinstance(entries, list):
+        for entry in entries:
+            _reject_bools(entry, context)
+
+
 def matrix_to_pairs(matrix: np.ndarray) -> list:
     """Complex matrix -> nested [re, im] pairs (JSON-safe)."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
@@ -56,6 +74,7 @@ def matrix_to_pairs(matrix: np.ndarray) -> list:
 
 def pairs_to_matrix(rows, context: str) -> np.ndarray:
     """Nested [re, im] pairs -> complex matrix, with shape validation."""
+    _reject_bools(rows, context)
     try:
         arr = np.asarray(rows, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -65,11 +84,8 @@ def pairs_to_matrix(rows, context: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def vector_to_pairs(vec: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vec)]
-
-
 def pairs_to_vector(entries, context: str) -> np.ndarray:
+    _reject_bools(entries, context)
     try:
         arr = np.asarray(entries, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -87,7 +103,7 @@ def _parse_state(spec, dim: int, label: str) -> DensityOperator:
     try:
         if kind == "basis_index":
             index = spec.get("index")
-            if not isinstance(index, int) or not 0 <= index < dim:
+            if not _is_int(index) or not 0 <= index < dim:
                 raise EnsembleConfigError(
                     f"{context}: basis index {index!r} out of range for dimension {dim}"
                 )
@@ -118,7 +134,7 @@ def parse_ensemble_config(cfg) -> Ensemble:
     if not isinstance(cfg, dict):
         raise EnsembleConfigError("top-level config must be an object")
     dim = cfg.get("dimension")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise EnsembleConfigError(f"'dimension' must be a positive integer, got {dim!r}")
     symbols_cfg = cfg.get("symbols")
     if not isinstance(symbols_cfg, list) or not symbols_cfg:
@@ -134,9 +150,10 @@ def parse_ensemble_config(cfg) -> Ensemble:
         labels.append(label)
         if "prior" in entry:
             prior = entry["prior"]
-            if not isinstance(prior, (int, float)) or prior <= 0:
+            if not _is_number(prior) or not math.isfinite(prior) or prior <= 0:
                 raise EnsembleConfigError(
-                    f"symbol {label!r}: prior must be a positive number, got {prior!r}"
+                    f"symbol {label!r}: prior must be a positive finite number, "
+                    f"got {prior!r}"
                 )
             priors.append(float(prior))
         else:
@@ -173,46 +190,11 @@ def ensemble_to_config(ensemble: Ensemble) -> dict:
     }
 
 
-def _index_preset(dim: int) -> dict:
-    return {
-        "dimension": dim,
-        "symbols": [
-            {"label": str(x + 1), "state": {"kind": "basis_index", "index": x}}
-            for x in range(dim)
-        ],
-    }
-
-
-def _amplitude3_preset() -> dict:
-    reference = encode_amplitude_3bit()
-    symbols = []
-    for label in reference.symbols:
-        bits = [int(c) for c in label]
-        vec = np.zeros(8)
-        for i, bit in enumerate(bits):
-            vec[2 * i] = bit
-            vec[2 * i + 1] = 1 - bit
-        symbols.append({
-            "label": label,
-            "state": {"kind": "pure_vector",
-                      "amplitudes": vector_to_pairs(vec.astype(complex)),
-                      "normalize": True},
-        })
-    return {"dimension": 8, "symbols": symbols}
-
-
 BUILTIN_FACTORIES = {
     "index2": lambda: encode_index(2),
     "index4": lambda: encode_index(4),
     "index8": lambda: encode_index(8),
     "amplitude3": encode_amplitude_3bit,
-}
-
-BUILTIN_CONFIGS = {
-    "index2": lambda: _index_preset(2),
-    "index4": lambda: _index_preset(4),
-    "index8": lambda: _index_preset(8),
-    "amplitude3": _amplitude3_preset,
 }
 
 
@@ -227,8 +209,9 @@ def canonical_json(obj) -> str:
 def resolve_ensemble(source: str) -> tuple[Ensemble, str]:
     """Load an ensemble from a file path or a ``builtin:NAME`` preset.
 
-    Returns the ensemble together with the sha256 of its content (raw file
-    bytes, or the canonical JSON of the preset).
+    Returns the ensemble together with the sha256 of its content: the raw
+    file bytes, or for a preset the canonical JSON of its exported config,
+    which is the digest of the file that export would write.
     """
     if source.startswith(BUILTIN_PREFIX):
         name = source[len(BUILTIN_PREFIX):]
@@ -236,8 +219,9 @@ def resolve_ensemble(source: str) -> tuple[Ensemble, str]:
             raise EnsembleConfigError(
                 f"unknown builtin {name!r}; available: {', '.join(builtin_names())}"
             )
-        digest = hashlib.sha256(canonical_json(BUILTIN_CONFIGS[name]()).encode()).hexdigest()
-        return BUILTIN_FACTORIES[name](), digest
+        ensemble = BUILTIN_FACTORIES[name]()
+        config = canonical_json(ensemble_to_config(ensemble))
+        return ensemble, hashlib.sha256(config.encode()).hexdigest()
     path = Path(source)
     try:
         raw = path.read_bytes()
@@ -283,7 +267,7 @@ def parse_channel_config(cfg, dim: int) -> KrausChannel:
 
 def _channel_p(cfg) -> float:
     p = cfg.get("p")
-    if not isinstance(p, (int, float)):
+    if not _is_number(p):
         raise EnsembleConfigError(f"channel 'p' must be a number, got {p!r}")
     return float(p)
 

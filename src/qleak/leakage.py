@@ -20,7 +20,6 @@ properties into executable checks.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,10 +43,12 @@ from .states import (
     random_povm,
 )
 
-# Step-size floor for backtracking and the per-step slack within which a
-# step still counts as non-decreasing.
+# Step-size floor for backtracking, the per-step slack within which a step
+# still counts as non-decreasing, and the whitening regularizer relative to
+# the normalizer's mean eigenvalue (keeps S^(-1/2) finite if S is singular).
 MU_MIN = 1e-6
 BACKTRACK_SLACK = 1e-13
+WHITENING_REG = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,6 @@ class AscentConfig:
     seed: int = 0
     povm_size: int | None = None
     backtracking: bool = True
-    regularization: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 < self.mu <= 10.0:
@@ -75,8 +75,6 @@ class AscentConfig:
             raise ValueError("termination threshold must be positive")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
-        if self.regularization <= 0.0:
-            raise ValueError("regularization must be positive")
         if self.povm_size is not None and self.povm_size < 1:
             raise ValueError("povm_size must be positive")
 
@@ -133,21 +131,30 @@ class LeakageReport:
         return all(self.converged_flags)
 
 
-def _flatten_states(states: np.ndarray) -> np.ndarray:
-    """Row-vectorized transposes of the states, so that conditional traces
-    become one matrix product: tr(rho F) = vec(rho^T) . vec(F)."""
-    n, dim, _ = states.shape
-    return states.transpose(0, 2, 1).reshape(n, dim * dim)
+def _factor(elements: np.ndarray) -> np.ndarray:
+    """Factors H_y with H_y H_y^dag = F_y, shape (m, d, r).
+
+    Keeps each element's eigenpairs above d * eps * lambda_max, in ascending
+    order, and pads with zero columns up to the largest rank r; the step
+    maps a zero column to zero, so padding never changes the iterate.
+    """
+    dim = elements.shape[-1]
+    vals, vecs = np.linalg.eigh(elements)
+    keep = vals > dim * np.finfo(np.float64).eps * vals[:, -1:]
+    rank = max(int(keep.sum(axis=1).max()), 1)
+    scales = np.sqrt(np.where(keep, vals, 0.0)[:, -rank:])
+    return vecs[:, :, -rank:] * scales[:, None, :]
 
 
-def _traces_from_flat(states_flat: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    m = elements.shape[0]
-    return (states_flat @ elements.reshape(m, -1).T).real
+def _elements(factors: np.ndarray) -> np.ndarray:
+    """The element stack F_y = H_y H_y^dag, shape (m, d, d)."""
+    return factors @ factors.conj().transpose(0, 2, 1)
 
 
-def _conditional_traces(states: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """Re tr(rho^x F_y) for all pairs, shape (|X|, m)."""
-    return _traces_from_flat(_flatten_states(states), elements)
+def _conditional_traces(states: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Re tr(rho^x H_y H_y^dag) for all pairs, shape (|X|, m)."""
+    products = np.tensordot(states, factors, axes=([2], [1]))  # (x, i, y, k)
+    return (products * factors.conj().transpose(1, 0, 2)).real.sum(axis=(1, 3))
 
 
 def _stack_objective(traces: np.ndarray) -> float:
@@ -174,7 +181,8 @@ def leakage_objective(ensemble: Ensemble, povm: Povm):
         raise DimensionMismatchError(
             f"ensemble dim {ensemble.dim} != POVM dim {povm.dim}"
         )
-    traces = _conditional_traces(ensemble.state_stack(), povm.element_stack())
+    traces = np.einsum("xij,yji->xy", ensemble.state_stack(),
+                       povm.element_stack()).real
     objective = _stack_objective(traces)
     if objective < 1.0 - 1e-8 or objective > ensemble.size + 1e-8:
         raise NumericalFailureError(
@@ -184,36 +192,22 @@ def leakage_objective(ensemble: Ensemble, povm: Povm):
     return objective, _bits(objective), winners
 
 
-def _ascent_step_stack(states: np.ndarray, elements: np.ndarray,
-                       mu: float, tau: float,
-                       traces: np.ndarray | None = None) -> np.ndarray:
-    """One subgradient ascent step on a raw (m, d, d) element stack."""
+def _step(states: np.ndarray, factors: np.ndarray, mu: float,
+          traces: np.ndarray) -> np.ndarray:
+    """One ascent step on the factors; traces are those of the input."""
     dim = states.shape[1]
-    if traces is None:
-        traces = _conditional_traces(states, elements)
-    picked = states[traces.argmax(axis=0)]                    # rho^{x*(y)}
-    drift = (picked @ elements).sum(axis=0)                   # sum_z rho^{x*(z)} F_z
-    growth = np.eye(dim) + mu * (picked - drift)
-    tilted = growth.conj().transpose(0, 2, 1) @ elements @ growth
-    normalizer = tilted.sum(axis=0)
+    picked = states[traces.argmax(axis=0)] @ factors        # rho^{x*(y)} H_y
+    drift = np.tensordot(picked, factors.conj(),
+                         axes=([0, 2], [0, 2]))             # sum_z rho^{x*(z)} F_z
+    grown = factors + mu * (picked - drift.conj().T @ factors)  # G_y^dag H_y
+    normalizer = np.tensordot(grown, grown.conj(), axes=([0, 2], [0, 2]))
     whitener = linalg.inv_sqrt_psd(
-        normalizer, tau * float(normalizer.trace().real) / dim
+        normalizer, WHITENING_REG * float(normalizer.trace().real) / dim
     )
-    renewed = whitener @ tilted @ whitener
-    renewed = (renewed + renewed.conj().transpose(0, 2, 1)) / 2
-    # Regularized whitening leaves a tiny completeness residual; spread it
-    # evenly, then clear any resulting negative eigenvalue noise.
-    residual = np.eye(dim) - renewed.sum(axis=0)
-    renewed += residual / len(renewed)
-    vals, vecs = np.linalg.eigh(renewed)
-    if vals.min() < 0.0:
-        vals = np.clip(vals, 0.0, None)
-        renewed = (vecs * vals[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-    return renewed
+    return whitener @ grown
 
 
-def ascent_step(ensemble: Ensemble, povm: Povm, mu: float,
-                tau: float = 1e-12) -> Povm:
+def ascent_step(ensemble: Ensemble, povm: Povm, mu: float) -> Povm:
     """One step of the measurement update.
 
     Tilts each element toward the state currently winning its outcome,
@@ -221,6 +215,10 @@ def ascent_step(ensemble: Ensemble, povm: Povm, mu: float,
 
         F_y  <-  S^(-1/2) G_y^dag F_y G_y S^(-1/2),
         G_y = I + mu (rho^{x*(y)} - sum_z rho^{x*(z)} F_z),  S = sum_y (...).
+
+    The update acts on factors F_y = H_y H_y^dag (H_y <- S^(-1/2) G_y^dag H_y),
+    so every element stays PSD and the set sums to the identity up to the
+    whitening regularizer; elements of any rank are accepted.
     """
     if ensemble.dim != povm.dim:
         raise DimensionMismatchError(
@@ -228,43 +226,43 @@ def ascent_step(ensemble: Ensemble, povm: Povm, mu: float,
         )
     if mu <= 0.0:
         raise ValueError("step size must be positive")
-    stack = _ascent_step_stack(
-        ensemble.state_stack(), povm.element_stack(), mu, tau
-    )
-    return Povm(list(stack))
+    states = ensemble.state_stack()
+    factors = _factor(povm.element_stack())
+    stepped = _step(states, factors, mu, _conditional_traces(states, factors))
+    return Povm(list(_elements(stepped)))
 
 
 def _run_restart(states: np.ndarray, dim: int, cfg: AscentConfig,
                  povm_size: int, restart_seed: int):
-    """Ascend from one random initialization; returns (trace, final stack)."""
-    elements = random_povm(dim, povm_size, restart_seed).element_stack()
-    states_flat = _flatten_states(states)
-    traces_xy = _traces_from_flat(states_flat, elements)
+    """Ascend from one random initialization; returns (trace, final factors)."""
+    # random_povm draws rank-one elements: the top eigenpair is the factor.
+    start = random_povm(dim, povm_size, restart_seed)
+    factors = _factor(start.element_stack())[..., -1:]
+    traces_xy = _conditional_traces(states, factors)
     objective = _stack_objective(traces_xy)
     trace = ConvergenceTrace()
     trace.append(0, objective, _bits(objective), 0.0)
     for iteration in range(1, cfg.max_iters + 1):
         mu_trial = cfg.mu
         while True:
-            candidate = _ascent_step_stack(states, elements, mu_trial,
-                                           cfg.regularization, traces=traces_xy)
-            cand_traces = _traces_from_flat(states_flat, candidate)
+            candidate = _step(states, factors, mu_trial, traces_xy)
+            cand_traces = _conditional_traces(states, candidate)
             cand_objective = _stack_objective(cand_traces)
             if not cfg.backtracking or cand_objective >= objective - BACKTRACK_SLACK:
                 break
             if mu_trial <= MU_MIN:
                 # No step size improves: hold position, which both keeps the
                 # trace monotone and triggers termination below.
-                candidate, cand_traces, cand_objective = elements, traces_xy, objective
+                candidate, cand_traces, cand_objective = factors, traces_xy, objective
                 break
             mu_trial = max(mu_trial / 2.0, MU_MIN)
         change = abs(cand_objective - objective)
-        elements, traces_xy, objective = candidate, cand_traces, cand_objective
+        factors, traces_xy, objective = candidate, cand_traces, cand_objective
         trace.append(iteration, objective, _bits(objective), mu_trial)
         if change < cfg.eps:
             trace.converged = True
             break
-    return trace, elements
+    return trace, factors
 
 
 def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
@@ -275,7 +273,9 @@ def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
     cfg.seed + restart index, ascends until the objective improves by less
     than cfg.eps (with step-halving backtracking keeping the trace
     non-decreasing), and the best final value wins. Hitting max_iters is
-    not an error; the restart is just flagged unconverged.
+    not an error; the restart is just flagged unconverged. Restarts run
+    one after another; ``threads`` is accepted for compatibility and
+    ignored.
 
     The prior never enters the objective, so reports are bit-identical
     under reweighted priors for the same seed.
@@ -284,15 +284,8 @@ def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
     dim = ensemble.dim
     povm_size = cfg.resolved_povm_size(dim)
     states = ensemble.state_stack()
-
-    def run(index: int):
-        return _run_restart(states, dim, cfg, povm_size, cfg.seed + index)
-
-    if threads > 1 and cfg.restarts > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(cfg.restarts)))
-    else:
-        results = [run(i) for i in range(cfg.restarts)]
+    results = [_run_restart(states, dim, cfg, povm_size, cfg.seed + i)
+               for i in range(cfg.restarts)]
 
     traces = [trace for trace, _ in results]
     finals = [trace.final_leakage for trace in traces]
@@ -305,7 +298,7 @@ def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
         )
     return LeakageReport(
         leakage_bits=leakage,
-        optimal_povm=Povm(list(results[best][1])),
+        optimal_povm=Povm(list(_elements(results[best][1]))),
         best_restart=best,
         traces=traces,
         restart_leakages=finals,
@@ -489,14 +482,15 @@ def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
     skipped when the dimension is not a power of two).
 
     probe_povm, when given, replaces the optimizer's POVM in the
-    dominance check (test hook for failure-path coverage).
+    dominance check (test hook for failure-path coverage). ``threads`` is
+    accepted for compatibility and ignored.
     """
     cfg = cfg or AscentConfig()
     unknown = set(checks) - set(ALL_PROPERTY_CHECKS)
     if unknown:
         raise ValueError(f"unknown property checks: {sorted(unknown)}")
     results: list[PropertyCheck] = []
-    baseline = compute_leakage(ensemble, cfg, threads=threads)
+    baseline = compute_leakage(ensemble, cfg)
     q0 = baseline.leakage_bits
 
     if "nonnegativity" in checks:
@@ -532,8 +526,7 @@ def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
     if "data_processing" in checks:
         chan = channel or random_kraus_channel(ensemble.dim, ensemble.dim,
                                                cfg.seed + 104729)
-        q_after = compute_leakage(ensemble.transform(chan), cfg,
-                                  threads=threads).leakage_bits
+        q_after = compute_leakage(ensemble.transform(chan), cfg).leakage_bits
         results.append(PropertyCheck(
             "data_processing", q_after <= q0 + 1e-3,
             f"after={q_after:.6f} <= before={q0:.6f} + 1e-3"))
@@ -542,7 +535,7 @@ def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
         worst = 0.0
         for p in noise_grid:
             mapped = ensemble.transform(depolarizing_global(p, ensemble.dim))
-            direct = compute_leakage(mapped, cfg, threads=threads).leakage_bits
+            direct = compute_leakage(mapped, cfg).leakage_bits
             worst = max(worst, abs(direct - noisy_leakage_global(q0, p)))
         results.append(PropertyCheck(
             "global_noise_exactness", worst <= 2e-3,
@@ -558,7 +551,7 @@ def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
             worst = -np.inf
             for p in noise_grid:
                 mapped = ensemble.transform(depolarizing_local(p, k))
-                direct = compute_leakage(mapped, cfg, threads=threads).leakage_bits
+                direct = compute_leakage(mapped, cfg).leakage_bits
                 worst = max(worst, direct - noisy_leakage_local_bound(q0, p, k))
             results.append(PropertyCheck(
                 "local_noise_bound", worst <= 1e-3,

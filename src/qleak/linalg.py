@@ -1,5 +1,5 @@
 """Complex-matrix kernel: Hermitian eigendecomposition, PSD inverse square
-roots, trace pairings, tensor products and the trace metric.
+roots and the trace metric.
 
 Everything downstream (states, channels, the ascent loop) funnels its linear
 algebra through these functions, so the tolerances live here in one place.
@@ -122,25 +122,6 @@ def inv_sqrt_psd(s, reg: float = 0.0) -> np.ndarray:
     clamped = np.maximum(vals, 0.0)
     inv = 1.0 / np.sqrt(clamped + reg)
     return hermitize((vecs * inv) @ vecs.conj().T)
-
-
-def trace_product(a, b) -> complex:
-    """tr(a @ b) as the pairing sum a_ij b_ji, without forming the product.
-
-    Requires the product a @ b to exist and be square.
-    """
-    am = as_cmatrix(a, "a")
-    bm = as_cmatrix(b, "b")
-    if am.shape[1] != bm.shape[0] or am.shape[0] != bm.shape[1]:
-        raise DimensionMismatchError(
-            f"shapes {am.shape} and {bm.shape} do not contract to a square product"
-        )
-    return complex(np.einsum("ij,ji->", am, bm))
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result is a_ij * b."""
-    return np.kron(as_cmatrix(a, "a"), as_cmatrix(b, "b"))
 
 
 def trace_distance(a, b) -> float:

@@ -124,7 +124,7 @@ class Ensemble:
             p = np.asarray(priors, dtype=np.float64)
             if p.shape != (len(self.symbols),):
                 raise DimensionMismatchError("one prior per symbol required")
-            if np.any(p <= 0.0):
+            if not np.all(p > 0.0):
                 raise InvalidProbabilityError("priors must be strictly positive")
             if abs(p.sum() - 1.0) > 1e-12:
                 raise InvalidProbabilityError(f"priors sum to {p.sum()!r}, not 1")

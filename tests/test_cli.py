@@ -169,3 +169,20 @@ class TestVerify:
 
     def test_invalid_input_exits_2(self, tmp_path):
         assert main(["verify", "--ensemble", str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize("dimension, index, prior", [
+        ("true", "0", "0.5"),
+        ("2", "true", "0.5"),
+        ("2", "0", "true"),
+        ("2", "0", "NaN"),
+    ])
+    def test_malformed_numbers_exit_2(self, tmp_path, capsys, dimension, index, prior):
+        path = tmp_path / "e.json"
+        path.write_text(
+            f'{{"dimension": {dimension}, "symbols": ['
+            f'{{"label": "a", "prior": {prior}, '
+            f'"state": {{"kind": "basis_index", "index": {index}}}}}, '
+            f'{{"label": "b", "prior": 0.5, '
+            f'"state": {{"kind": "basis_index", "index": 1}}}}]}}')
+        assert main(["verify", "--ensemble", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err

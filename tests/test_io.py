@@ -5,6 +5,7 @@ import pytest
 
 from qleak import (
     AscentConfig,
+    Ensemble,
     compute_leakage,
     ensemble_to_config,
     parse_channel_config,
@@ -12,8 +13,12 @@ from qleak import (
     resolve_ensemble,
 )
 from qleak.ensemble_io import builtin_names, canonical_json
-from qleak.exceptions import EnsembleConfigError, UnsupportedDimensionError
-from qleak.states import apply_channel, depolarizing_global
+from qleak.exceptions import (
+    EnsembleConfigError,
+    InvalidProbabilityError,
+    UnsupportedDimensionError,
+)
+from qleak.states import DensityOperator, apply_channel, depolarizing_global
 from helpers import random_density
 
 
@@ -94,6 +99,33 @@ class TestEnsembleSchema:
         with pytest.raises(EnsembleConfigError, match="zero"):
             parse_ensemble_config(cfg)
 
+    @pytest.mark.parametrize("path, message", [
+        (("dimension",), "'dimension'"),
+        (("symbols", 0, "state", "index"), "basis index True"),
+        (("symbols", 1, "state", "amplitudes", 0, 0), "must be numbers"),
+    ])
+    def test_booleans_are_not_numbers(self, path, message):
+        cfg = json.loads(json.dumps(BASIC))
+        target = cfg
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = True
+        with pytest.raises(EnsembleConfigError, match=message):
+            parse_ensemble_config(cfg)
+
+    @pytest.mark.parametrize("prior", [True, float("nan"), float("inf")])
+    def test_prior_must_be_finite_number(self, prior):
+        cfg = json.loads(json.dumps(BASIC))
+        cfg["symbols"][0]["prior"] = prior
+        cfg["symbols"][1]["prior"] = 0.5
+        with pytest.raises(EnsembleConfigError, match="zero"):
+            parse_ensemble_config(cfg)
+
+    def test_ensemble_rejects_nan_prior(self):
+        rho = DensityOperator.maximally_mixed(2)
+        with pytest.raises(InvalidProbabilityError):
+            Ensemble(["a", "b"], [rho, rho], [float("nan"), 0.5])
+
     def test_roundtrip_preserves_states(self):
         e = parse_ensemble_config(BASIC)
         back = parse_ensemble_config(ensemble_to_config(e))
@@ -124,6 +156,13 @@ class TestBuiltins:
         cfg = AscentConfig(restarts=2, seed=0)
         assert compute_leakage(builtin, cfg).leakage_bits == \
             compute_leakage(reloaded, cfg).leakage_bits
+
+    @pytest.mark.parametrize("name", ["index2", "index4", "index8", "amplitude3"])
+    def test_digest_matches_canonical_export(self, tmp_path, name):
+        builtin, digest = resolve_ensemble(f"builtin:{name}")
+        path = tmp_path / f"{name}.json"
+        path.write_text(canonical_json(ensemble_to_config(builtin)))
+        assert resolve_ensemble(str(path))[1] == digest
 
     def test_missing_file(self):
         with pytest.raises(EnsembleConfigError, match="cannot read"):
@@ -160,6 +199,10 @@ class TestChannelSchema:
     def test_missing_p(self):
         with pytest.raises(EnsembleConfigError, match="'p'"):
             parse_channel_config({"kind": "global"}, 2)
+
+    def test_boolean_p(self):
+        with pytest.raises(EnsembleConfigError, match="'p'"):
+            parse_channel_config({"kind": "global", "p": True}, 2)
 
     def test_unknown_kind(self):
         with pytest.raises(EnsembleConfigError, match="unknown channel"):

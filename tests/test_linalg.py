@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qleak import herm_eig, inv_sqrt_psd, tensor_product, trace_distance, trace_product
+from qleak import herm_eig, inv_sqrt_psd, trace_distance
 from qleak.exceptions import (
     DimensionMismatchError,
     NonSquareError,
@@ -85,70 +85,6 @@ class TestInvSqrtPsd:
     def test_tiny_negative_clamped(self):
         out = inv_sqrt_psd(np.diag([1.0, -1e-10]), reg=1e-6)
         assert np.isfinite(out).all()
-
-
-class TestTraceProduct:
-    def test_identity(self):
-        for d in (2, 5):
-            assert trace_product(np.eye(d), np.eye(d)) == pytest.approx(d)
-
-    def test_orthogonal_projectors(self):
-        assert trace_product(KET0, KET1) == pytest.approx(0.0)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_dense_product_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert trace_product(a, b) == pytest.approx(np.trace(a @ b), abs=1e-12)
-
-    def test_rectangular(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((2, 5))
-        b = rng.standard_normal((5, 2))
-        assert trace_product(a, b) == pytest.approx(np.trace(a @ b), abs=1e-12)
-
-    def test_cyclic_symmetry(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert trace_product(a, b) == pytest.approx(trace_product(b, a), abs=1e-12)
-
-    def test_hermitian_conjugate_symmetry(self):
-        rng = np.random.default_rng(2)
-        a = random_hermitian(3, rng)
-        b = random_hermitian(3, rng)
-        ab = trace_product(a, b)
-        ba = trace_product(b, a)
-        assert ab == pytest.approx(np.conj(ba), abs=1e-12)
-        assert abs(ab.imag) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            trace_product(np.eye(2), np.eye(3))
-        with pytest.raises(DimensionMismatchError):
-            # contractable but non-square product
-            trace_product(np.zeros((2, 3)), np.zeros((3, 3)))
-
-
-class TestTensorProduct:
-    def test_identities(self):
-        assert np.array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_basis_projectors(self):
-        out = tensor_product(KET0, KET1)
-        expected = np.zeros((4, 4))
-        expected[1, 1] = 1.0
-        assert np.array_equal(out, expected)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_mixed_product_identity(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                      for _ in range(4))
-        lhs = tensor_product(a, b) @ tensor_product(c, d)
-        rhs = tensor_product(a @ c, b @ d)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 class TestTraceDistance:
