@@ -9,34 +9,21 @@ per-qubit (local) noise bound log2(p^k + (1-p^k) 2^q0).
 
 import numpy as np
 
-from qleak import (
-    AscentConfig,
-    compute_leakage,
-    depolarizing_global,
-    depolarizing_local,
-    encode_index,
-    noisy_leakage_global,
-    noisy_leakage_local_bound,
-)
+from qleak import AscentConfig, compute_leakage, encode_index, noise_curve
 
 ensemble = encode_index(4)
 cfg = AscentConfig(restarts=6, seed=0)
 q0 = compute_leakage(ensemble, cfg).leakage_bits
+grid = np.linspace(0.0, 1.0, 6)
 print(f"noiseless leakage: {q0:.6f} bits\n")
 
 print("global depolarizing")
 print("   p    direct    formula   |diff|    ratio")
-for p in np.linspace(0.0, 1.0, 6):
-    direct = compute_leakage(ensemble.transform(depolarizing_global(p, 4)),
-                             cfg).leakage_bits
-    formula = noisy_leakage_global(q0, p)
+for p, direct, formula in noise_curve(ensemble, "global", grid, cfg, q0):
     print(f"  {p:.1f}  {direct:8.6f}  {formula:8.6f}  {abs(direct - formula):.1e}"
           f"  {direct / q0:8.6f}")
 
 print("\nlocal depolarizing (2 qubits): direct value vs upper bound")
 print("   p    direct    bound")
-for p in np.linspace(0.0, 1.0, 6):
-    direct = compute_leakage(ensemble.transform(depolarizing_local(p, 2)),
-                             cfg).leakage_bits
-    bound = noisy_leakage_local_bound(q0, p, 2)
+for p, direct, bound in noise_curve(ensemble, "local", grid, cfg, q0):
     print(f"  {p:.1f}  {direct:8.6f}  {bound:8.6f}")

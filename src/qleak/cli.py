@@ -13,8 +13,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -27,7 +25,6 @@ from .ensemble_io import (
     builtin_names,
     load_channel,
     matrix_to_pairs,
-    pairs_to_matrix,
     resolve_ensemble,
 )
 from .exceptions import (
@@ -44,23 +41,17 @@ from .exceptions import (
 )
 from .leakage import (
     AscentConfig,
-    PropertyCheck,
     compute_leakage,
-    noisy_leakage_global,
-    noisy_leakage_local_bound,
+    noise_curve,
     verify_properties,
 )
-from .states import Povm, depolarizing_global, depolarizing_local
+from .states import NOISE_KINDS, qubit_count
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_UNSUPPORTED = 4
 EXIT_PROPERTY = 5
-
-# Hidden hook for failure-path testing: path to a JSON file whose
-# {"elements": [...]} matrices replace the optimizer's POVM in `verify`.
-INJECT_POVM_ENV = "QLEAK_INJECT_POVM"
 
 
 def _ascent_flags(parser: argparse.ArgumentParser):
@@ -72,8 +63,6 @@ def _ascent_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--povm-size", type=int, default=None,
                         help="measurement outcomes per restart (default dim^2)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--no-backtracking", action="store_true",
-                        help="disable step halving on objective decrease")
 
 
 def _config_from_args(args) -> AscentConfig:
@@ -84,7 +73,6 @@ def _config_from_args(args) -> AscentConfig:
         restarts=args.restarts,
         seed=args.seed,
         povm_size=args.povm_size,
-        backtracking=not args.no_backtracking,
     )
 
 
@@ -112,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "a grid of probability parameters and compare with the "
                     "closed-form transfer.")
     sweep.add_argument("--ensemble", required=True)
-    sweep.add_argument("--channel", required=True, choices=("global", "local"))
+    sweep.add_argument("--channel", required=True, choices=NOISE_KINDS)
     sweep.add_argument("--p-start", type=float, default=0.0)
     sweep.add_argument("--p-end", type=float, default=1.0)
     sweep.add_argument("--p-steps", type=int, default=21)
@@ -138,7 +126,6 @@ def _manifest(command: str, cfg: AscentConfig, resolved_povm_size: int,
               extra: dict | None = None) -> dict:
     config = dataclasses.asdict(cfg)
     config["povm_size"] = resolved_povm_size
-    config["backtracking"] = cfg.backtracking
     if extra:
         config.update(extra)
     return {
@@ -209,29 +196,14 @@ def _cmd_noise_sweep(args) -> int:
         )
     if args.p_steps < 2:
         raise EnsembleConfigError("p grid needs at least 2 points")
-    qubits = None
     if args.channel == "local":
-        qubits = int(round(math.log2(ensemble.dim)))
-        if 2 ** qubits != ensemble.dim:
-            raise UnsupportedDimensionError(
-                f"local channel needs a power-of-two dimension, got {ensemble.dim}"
-            )
+        qubit_count(ensemble.dim)  # reject the dimension before any solve
 
     started = time.perf_counter()
     q0 = compute_leakage(ensemble, cfg).leakage_bits
     grid = np.linspace(args.p_start, args.p_end, args.p_steps)
-    rows = []
-    for p in grid:
-        p = float(p)
-        if args.channel == "global":
-            channel = depolarizing_global(p, ensemble.dim)
-            formula = noisy_leakage_global(q0, p)
-        else:
-            channel = depolarizing_local(p, qubits)
-            formula = noisy_leakage_local_bound(q0, p, qubits)
-        direct = compute_leakage(ensemble.transform(channel), cfg).leakage_bits
-        ratio = direct / q0 if q0 > 1e-12 else 1.0
-        rows.append((p, direct, formula, ratio))
+    rows = [(p, direct, formula, direct / q0 if q0 > 1e-12 else 1.0)
+            for p, direct, formula in noise_curve(ensemble, args.channel, grid, cfg, q0)]
     wall = time.perf_counter() - started
 
     manifest = _manifest(
@@ -253,12 +225,6 @@ def _cmd_noise_sweep(args) -> int:
     return EXIT_OK
 
 
-def _load_injected_povm(path: str) -> list[np.ndarray]:
-    cfg = json.loads(Path(path).read_text())
-    return [pairs_to_matrix(el, f"injected element {i}")
-            for i, el in enumerate(cfg.get("elements", []))]
-
-
 def _cmd_verify(args) -> int:
     ensemble, digest = resolve_ensemble(args.ensemble)
     cfg = _config_from_args(args)
@@ -268,21 +234,9 @@ def _cmd_verify(args) -> int:
         channel = load_channel(args.channel_file, ensemble.dim)
         channel_sha = hashlib.sha256(Path(args.channel_file).read_bytes()).hexdigest()
 
-    probe = None
-    injected_failure = None
-    inject_path = os.environ.get(INJECT_POVM_ENV)
-    if inject_path:
-        try:
-            probe = Povm(_load_injected_povm(inject_path))
-        except (QLeakError, OSError, json.JSONDecodeError) as exc:
-            injected_failure = PropertyCheck(
-                "injected_povm_valid", False, f"injected POVM rejected: {exc}")
-
     started = time.perf_counter()
-    report = verify_properties(ensemble, cfg, channel=channel, probe_povm=probe)
+    report = verify_properties(ensemble, cfg, channel=channel)
     wall = time.perf_counter() - started
-    if injected_failure is not None:
-        report.checks.append(injected_failure)
 
     width = max(len(c.name) for c in report.checks)
     for check in report.checks:

@@ -32,17 +32,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import (
-    EnsembleConfigError,
-    QLeakError,
-    UnsupportedDimensionError,
-)
+from .exceptions import EnsembleConfigError, QLeakError
 from .states import (
+    NOISE_KINDS,
     DensityOperator,
     Ensemble,
     KrausChannel,
-    depolarizing_global,
-    depolarizing_local,
+    depolarizing,
     encode_amplitude_3bit,
     encode_index,
 )
@@ -59,12 +55,14 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _reject_bools(entries, context: str):
-    if isinstance(entries, bool):
-        raise EnsembleConfigError(f"{context}: entries must be numbers, got {entries!r}")
-    if isinstance(entries, list):
-        for entry in entries:
-            _reject_bools(entry, context)
+def _require_numbers(entries, context: str):
+    """Every entry of nested lists must be a JSON number: numpy would
+    otherwise read true as 1 and the string "1" as 1.0."""
+    for entry in entries if isinstance(entries, list) else ():
+        if isinstance(entry, list):
+            _require_numbers(entry, context)
+        elif not _is_number(entry):
+            raise EnsembleConfigError(f"{context}: entries must be numbers, got {entry!r}")
 
 
 def matrix_to_pairs(matrix: np.ndarray) -> list:
@@ -74,7 +72,7 @@ def matrix_to_pairs(matrix: np.ndarray) -> list:
 
 def pairs_to_matrix(rows, context: str) -> np.ndarray:
     """Nested [re, im] pairs -> complex matrix, with shape validation."""
-    _reject_bools(rows, context)
+    _require_numbers(rows, context)
     try:
         arr = np.asarray(rows, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -85,7 +83,7 @@ def pairs_to_matrix(rows, context: str) -> np.ndarray:
 
 
 def pairs_to_vector(entries, context: str) -> np.ndarray:
-    _reject_bools(entries, context)
+    _require_numbers(entries, context)
     try:
         arr = np.asarray(entries, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -114,7 +112,12 @@ def _parse_state(spec, dim: int, label: str) -> DensityOperator:
                 raise EnsembleConfigError(
                     f"{context}: amplitude vector has length {vec.shape[0]}, expected {dim}"
                 )
-            return DensityOperator.from_pure(vec, normalize=bool(spec.get("normalize", False)))
+            normalize = spec.get("normalize", False)
+            if not isinstance(normalize, bool):
+                raise EnsembleConfigError(
+                    f"{context}: 'normalize' must be true or false, got {normalize!r}"
+                )
+            return DensityOperator.from_pure(vec, normalize=normalize)
         if kind == "density_matrix":
             mat = pairs_to_matrix(spec.get("rows"), context)
             if mat.shape != (dim, dim):
@@ -144,7 +147,9 @@ def parse_ensemble_config(cfg) -> Ensemble:
     for i, entry in enumerate(symbols_cfg):
         if not isinstance(entry, dict) or "label" not in entry:
             raise EnsembleConfigError(f"symbol #{i}: must be an object with a 'label'")
-        label = str(entry["label"])
+        label = entry["label"]
+        if not isinstance(label, str):
+            raise EnsembleConfigError(f"symbol #{i}: 'label' must be a string, got {label!r}")
         if label in labels:
             raise EnsembleConfigError(f"symbol {label!r}: duplicate label")
         labels.append(label)
@@ -229,7 +234,7 @@ def resolve_ensemble(source: str) -> tuple[Ensemble, str]:
         raise EnsembleConfigError(f"cannot read ensemble file {source!r}: {exc}") from exc
     try:
         cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise EnsembleConfigError(f"{source}: not valid JSON ({exc})") from exc
     return parse_ensemble_config(cfg), hashlib.sha256(raw).hexdigest()
 
@@ -239,15 +244,8 @@ def parse_channel_config(cfg, dim: int) -> KrausChannel:
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise EnsembleConfigError("channel config must be an object with a 'kind'")
     kind = cfg["kind"]
-    if kind == "global":
-        return depolarizing_global(_channel_p(cfg), dim)
-    if kind == "local":
-        qubits = int(round(np.log2(dim)))
-        if 2 ** qubits != dim:
-            raise UnsupportedDimensionError(
-                f"local channel needs a power-of-two dimension, got {dim}"
-            )
-        return depolarizing_local(_channel_p(cfg), qubits)
+    if kind in NOISE_KINDS:
+        return depolarizing(kind, _channel_p(cfg), dim)
     if kind == "kraus":
         ops_cfg = cfg.get("kraus_ops")
         if not isinstance(ops_cfg, list) or not ops_cfg:
@@ -279,6 +277,6 @@ def load_channel(path: str, dim: int) -> KrausChannel:
         raise EnsembleConfigError(f"cannot read channel file {path!r}: {exc}") from exc
     try:
         cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise EnsembleConfigError(f"{path}: not valid JSON ({exc})") from exc
     return parse_channel_config(cfg, dim)

@@ -24,11 +24,17 @@ from .exceptions import (
     NotHermitianError,
     NotPsdError,
     NumericalFailureError,
+    UnsupportedDimensionError,
 )
 
 DENSITY_ATOL = 1e-9      # hermiticity / PSD / trace tolerance for states
 POVM_ATOL = 1e-8         # per-element PSD and completeness tolerance
 CHANNEL_ATOL = 1e-9      # trace-preservation tolerance for Kraus sets
+# Validators test `not defect <= tol`, so a NaN (an overflowed defect) fails.
+
+# The depolarizing noise models: "global" acts on the whole register,
+# "local" on each of its qubits.
+NOISE_KINDS = ("global", "local")
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -48,16 +54,16 @@ class DensityOperator:
         mat = linalg.as_cmatrix(matrix, "density operator")
         if mat.shape[0] != mat.shape[1]:
             raise DimensionMismatchError(f"density operator must be square, got {mat.shape}")
-        if linalg.hermiticity_defect(mat) > DENSITY_ATOL:
+        if not linalg.hermiticity_defect(mat) <= DENSITY_ATOL:
             raise NotHermitianError(
                 f"density operator asymmetry exceeds {DENSITY_ATOL:.0e}"
             )
         mat = linalg.hermitize(mat)
         eigs = np.linalg.eigvalsh(mat)
-        if eigs[0] < -DENSITY_ATOL:
+        if not eigs[0] >= -DENSITY_ATOL:
             raise NotPsdError(f"density operator eigenvalue {eigs[0]:.3e} is negative")
         tr = float(mat.trace().real)
-        if abs(tr - 1.0) > DENSITY_ATOL:
+        if not abs(tr - 1.0) <= DENSITY_ATOL:
             raise NumericalFailureError(f"density operator trace {tr!r} is not 1")
         self.matrix = _frozen(mat)
         self.dim = mat.shape[0]
@@ -175,14 +181,14 @@ class Povm:
         for i, m in enumerate(mats):
             if m.shape != (dim, dim):
                 raise DimensionMismatchError(f"POVM element {i} has shape {m.shape}")
-            if linalg.hermiticity_defect(m) > POVM_ATOL:
+            if not linalg.hermiticity_defect(m) <= POVM_ATOL:
                 raise NotHermitianError(f"POVM element {i} is not Hermitian")
             low = np.linalg.eigvalsh(linalg.hermitize(m))[0]
-            if low < -POVM_ATOL:
+            if not low >= -POVM_ATOL:
                 raise NotPsdError(f"POVM element {i} has eigenvalue {low:.3e}")
         total = sum(mats)
         defect = np.max(np.abs(total - np.eye(dim)))
-        if defect > POVM_ATOL:
+        if not defect <= POVM_ATOL:
             raise NumericalFailureError(
                 f"POVM completeness defect {defect:.3e} exceeds {POVM_ATOL:.0e}"
             )
@@ -220,7 +226,7 @@ class KrausChannel:
                 raise DimensionMismatchError(f"Kraus operator {j} has shape {op.shape}")
         total = sum(op.conj().T @ op for op in ops)
         defect = np.max(np.abs(total - np.eye(dim_in)))
-        if defect > CHANNEL_ATOL:
+        if not defect <= CHANNEL_ATOL:
             raise InvalidChannelError(
                 f"sum E^dag E deviates from identity by {defect:.3e}"
             )
@@ -332,6 +338,25 @@ def depolarizing_local(p: float, qubits: int) -> KrausChannel:
     # Zero-weight operators (p = 0 or p = 4/3 edge) contribute nothing.
     ops = [op for op in ops if np.any(op)]
     return KrausChannel(ops)
+
+
+def qubit_count(dim: int) -> int:
+    """The number of qubits k of a register of dimension dim = 2^k."""
+    if dim < 1 or dim & (dim - 1):
+        raise UnsupportedDimensionError(
+            f"per-qubit noise needs a power-of-two dimension, got {dim}"
+        )
+    return dim.bit_length() - 1
+
+
+def depolarizing(kind: str, p: float, dim: int) -> KrausChannel:
+    """The depolarizing channel of a noise kind (see NOISE_KINDS) with
+    parameter p on a register of dimension dim."""
+    if kind == "global":
+        return depolarizing_global(p, dim)
+    if kind == "local":
+        return depolarizing_local(p, qubit_count(dim))
+    raise ValueError(f"unknown noise kind {kind!r}; expected one of {NOISE_KINDS}")
 
 
 def encode_index(dim: int) -> Ensemble:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qleak import ensemble_to_config, encode_index
+from qleak import ensemble_to_config, encode_index, leakage
 from qleak.cli import main
 from qleak.ensemble_io import canonical_json
 
@@ -154,18 +154,16 @@ class TestVerify:
                      "--channel-file", str(chan),
                      "--restarts", "3", "--max-iters", "3000"]) == 0
 
-    def test_corrupt_povm_injection_exits_5(self, tmp_path, monkeypatch, capsys):
-        poison = tmp_path / "povm.json"
-        # elements sum to I but one is negative: rejected by validation
-        poison.write_text(json.dumps({"elements": [
-            [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
-            [[[-1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
-        ]}))
-        monkeypatch.setenv("QLEAK_INJECT_POVM", str(poison))
+    def test_failed_check_exits_5(self, monkeypatch, capsys):
+        # I(X;Y) of 2 bits exceeds the 1-bit objective of any index2 POVM.
+        monkeypatch.setattr(leakage, "mutual_information", lambda e, f: 2.0)
         code = main(["verify", "--ensemble", "builtin:index2",
                      "--restarts", "2", "--max-iters", "1000"])
         assert code == 5
-        assert "FAIL" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert any(line.startswith("povm_dominance") and "FAIL" in line
+                   for line in printed.splitlines())
+        assert "FAILURES detected" in printed
 
     def test_invalid_input_exits_2(self, tmp_path):
         assert main(["verify", "--ensemble", str(tmp_path / "missing.json")]) == 2

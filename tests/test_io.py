@@ -1,10 +1,13 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qleak import (
     AscentConfig,
+    KrausChannel,
     Ensemble,
     compute_leakage,
     ensemble_to_config,
@@ -12,6 +15,7 @@ from qleak import (
     parse_ensemble_config,
     resolve_ensemble,
 )
+from qleak.cli import EXIT_INPUT, EXIT_UNSUPPORTED, _exit_code
 from qleak.ensemble_io import builtin_names, canonical_json
 from qleak.exceptions import (
     EnsembleConfigError,
@@ -113,6 +117,22 @@ class TestEnsembleSchema:
         with pytest.raises(EnsembleConfigError, match=message):
             parse_ensemble_config(cfg)
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("symbols", 1, "state", "normalize"), "no", "'normalize'"),
+        (("symbols", 1, "state", "normalize"), 1, "'normalize'"),
+        (("symbols", 0, "label"), ["x"], "'label'"),
+        (("symbols", 0, "label"), 1, "'label'"),
+        (("symbols", 1, "state", "amplitudes", 0, 0), "1", "must be numbers"),
+    ])
+    def test_wrong_json_type(self, path, value, message):
+        cfg = json.loads(json.dumps(BASIC))
+        target = cfg
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(EnsembleConfigError, match=message):
+            parse_ensemble_config(cfg)
+
     @pytest.mark.parametrize("prior", [True, float("nan"), float("inf")])
     def test_prior_must_be_finite_number(self, prior):
         cfg = json.loads(json.dumps(BASIC))
@@ -168,6 +188,12 @@ class TestBuiltins:
         with pytest.raises(EnsembleConfigError, match="cannot read"):
             resolve_ensemble("/no/such/file.json")
 
+    def test_nesting_beyond_the_recursion_limit(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(EnsembleConfigError, match="not valid JSON"):
+            resolve_ensemble(str(path))
+
 
 class TestChannelSchema:
     def test_global(self):
@@ -207,3 +233,87 @@ class TestChannelSchema:
     def test_unknown_kind(self):
         with pytest.raises(EnsembleConfigError, match="unknown channel"):
             parse_channel_config({"kind": "amplitude_damping", "p": 0.1}, 2)
+
+
+# Arbitrary JSON: null, booleans, small integers (they may become a
+# dimension, so they stay small), any float including NaN and inf, strings,
+# and nested lists and objects.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+FUZZ_ENSEMBLE = {
+    "dimension": 2,
+    "symbols": [
+        {"label": "zero", "prior": 0.25, "state": {"kind": "basis_index", "index": 0}},
+        {"label": "plus", "prior": 0.25,
+         "state": {"kind": "pure_vector", "amplitudes": [[1, 0], [1, 0]],
+                   "normalize": True}},
+        {"label": "mixed", "prior": 0.5,
+         "state": {"kind": "density_matrix",
+                   "rows": [[[0.5, 0], [0, 0.1]], [[0, -0.1], [0.5, 0]]]}},
+    ],
+}
+
+FUZZ_CHANNELS = [
+    {"kind": "global", "p": 0.3},
+    {"kind": "local", "p": 0.3},
+    {"kind": "kraus", "kraus_ops": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+]
+
+
+def field_paths(node, prefix=()):
+    """The path of every field, list entry and nested value of a config."""
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from field_paths(child, prefix + (key,))
+
+
+def replaced(cfg, path, value):
+    out = copy.deepcopy(cfg)
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return out
+
+
+class TestSchemaFuzz:
+    def test_unmodified_configs_parse(self):
+        assert parse_ensemble_config(FUZZ_ENSEMBLE).size == 3
+        for cfg in FUZZ_CHANNELS:
+            assert parse_channel_config(cfg, 2).dim_in == 2
+
+    def test_overflowing_entry_rejected(self):
+        # 1e308 i on the diagonal overflows the asymmetry measure to NaN,
+        # which must fail the Hermiticity test rather than pass it.
+        cfg = replaced(FUZZ_ENSEMBLE, ("symbols", 2, "state", "rows", 0, 0, 1), 1e308)
+        with pytest.raises(EnsembleConfigError, match="mixed"):
+            parse_ensemble_config(cfg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(path=st.sampled_from(list(field_paths(FUZZ_ENSEMBLE))), value=JSON_VALUES)
+    def test_ensemble_field_replaced_by_any_json(self, path, value):
+        try:
+            ensemble = parse_ensemble_config(replaced(FUZZ_ENSEMBLE, path, value))
+        except EnsembleConfigError:
+            return
+        assert isinstance(ensemble, Ensemble)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg_path=st.sampled_from([(cfg, path) for cfg in FUZZ_CHANNELS
+                                     for path in field_paths(cfg)]),
+           value=JSON_VALUES, dim=st.sampled_from([2, 3, 4]))
+    def test_channel_field_replaced_by_any_json(self, cfg_path, value, dim):
+        cfg, path = cfg_path
+        try:
+            channel = parse_channel_config(replaced(cfg, path, value), dim)
+        except Exception as exc:  # noqa: BLE001 - the exit-code contract decides
+            assert _exit_code(exc) in (EXIT_INPUT, EXIT_UNSUPPORTED)
+            return
+        assert isinstance(channel, KrausChannel)

@@ -23,6 +23,7 @@ from qleak import (
     two_state_leakage,
     verify_properties,
 )
+from qleak import leakage
 from qleak.leakage import WHITENING_REG
 from qleak.exceptions import (
     DimensionMismatchError,
@@ -359,6 +360,30 @@ class TestVerifyProperties:
         assert report.all_passed
         by_name = {c.name: c for c in report.checks}
         assert by_name["independence_iff_zero"].passed
+
+    def test_nearly_flat_ensemble_passes_independence(self):
+        # Distinguishable by 1e-7: the optimized leakage (1.03e-7 bits) is
+        # nonzero and lies 4e-8 below the exact pairwise value 1.44e-7.
+        e = Ensemble(["a", "b"], [DensityOperator.maximally_mixed(2),
+                                  DensityOperator(np.diag([0.5 + 1e-7, 0.5 - 1e-7]))])
+        report = verify_properties(e, AscentConfig(seed=0),
+                                   checks=("independence_iff_zero",))
+        assert report.all_passed
+
+    def test_nan_mutual_information_fails_dominance(self, monkeypatch):
+        monkeypatch.setattr(leakage, "mutual_information", lambda e, f: float("nan"))
+        report = verify_properties(encode_index(2), AscentConfig(restarts=2, seed=0),
+                                   checks=("povm_dominance",), dominance_probes=3)
+        (check,) = report.checks
+        assert not check.passed and "nan" in check.detail
+
+    def test_nan_closed_form_fails_noise_checks(self, monkeypatch):
+        monkeypatch.setattr(leakage, "noisy_leakage_local_bound",
+                            lambda q, p, k: float("nan"))
+        report = verify_properties(
+            encode_index(2), AscentConfig(restarts=2, seed=0),
+            checks=("global_noise_exactness", "local_noise_bound"), noise_grid=(0.3,))
+        assert [c.passed for c in report.checks] == [False, False]
 
     def test_non_power_of_two_skips_local_bound(self):
         cfg = AscentConfig(restarts=2, max_iters=500, seed=4)
