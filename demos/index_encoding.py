@@ -4,7 +4,7 @@
 Writes d classical symbols into the d orthogonal basis states of a
 d-dimensional system. Orthogonal states are perfectly distinguishable, so
 the encoding leaks everything: log2(d) bits, saturating the ceiling
-min(log2 |X|, 2 log2 d). The ascent finds this from random measurements.
+min(log2 |X|, log2 d). The ascent finds this from random measurements.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ from qleak import AscentConfig, compute_leakage, encode_index
 
 ensemble = encode_index(8)
 print(f"ensemble: {ensemble.size} symbols in dimension {ensemble.dim}")
-print(f"ceiling:  min(log2 8, 2 log2 8) = 3 bits\n")
+print(f"ceiling:  min(log2 8, log2 8) = 3 bits\n")
 
 report = compute_leakage(ensemble, AscentConfig(restarts=10, seed=0))
 

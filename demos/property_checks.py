@@ -2,7 +2,7 @@
 """Structural guarantees of the leakage measure, executed.
 
 Leakage is nonnegative, zero exactly for indistinguishable ensembles,
-capped by min(log2 |X|, 2 log2 d), never below the mutual information of
+capped by min(log2 |X|, log2 d), never below the mutual information of
 any fixed measurement, and cannot increase under a quantum channel. The
 verifier turns each guarantee into a numeric check.
 """

@@ -7,9 +7,10 @@ advantage over all measurements,
 
 optimized here by projected subgradient ascent with random restarts. The
 value never depends on the prior, is zero exactly for indistinguishable
-ensembles, and is capped by min(log2 |X|, 2 log2 d). Allowing an adversary
-several verified guesses instead of one does not change the quantity, so no
-separate multi-guess computation exists.
+ensembles, and is capped by min(log2 |X|, log2 d): tr(rho^x F_y) <= tr F_y,
+so the objective is at most tr I = d (the paper states 2 log2 d). Allowing
+an adversary several verified guesses instead of one does not change the
+quantity, so no separate multi-guess computation exists.
 
 Closed-form companions: the exact two-state value log2(1 + T), a brute-force
 qubit search, the global depolarizing transfer formula and the per-qubit
@@ -38,6 +39,7 @@ from .states import (
     Povm,
     KrausChannel,
     born_distribution,
+    conditional_traces,
     depolarizing,
     qubit_count,
     random_kraus_channel,
@@ -71,8 +73,9 @@ class AscentConfig:
     def __post_init__(self):
         if not 0.0 < self.mu <= 10.0:
             raise ValueError(f"step size {self.mu!r} outside (0, 10]")
-        if self.eps <= 0.0:
-            raise ValueError("termination threshold must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"termination threshold {self.eps!r} must be finite "
+                             "and positive")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
         if self.povm_size is not None and self.povm_size < 1:
@@ -131,32 +134,6 @@ class LeakageReport:
         return all(self.converged_flags)
 
 
-def _factor(elements: np.ndarray) -> np.ndarray:
-    """Factors H_y with H_y H_y^dag = F_y, shape (m, d, r).
-
-    Keeps each element's eigenpairs above d * eps * lambda_max, in ascending
-    order, and pads with zero columns up to the largest rank r; the step
-    maps a zero column to zero, so padding never changes the iterate.
-    """
-    dim = elements.shape[-1]
-    vals, vecs = np.linalg.eigh(elements)
-    keep = vals > dim * np.finfo(np.float64).eps * vals[:, -1:]
-    rank = max(int(keep.sum(axis=1).max()), 1)
-    scales = np.sqrt(np.where(keep, vals, 0.0)[:, -rank:])
-    return vecs[:, :, -rank:] * scales[:, None, :]
-
-
-def _elements(factors: np.ndarray) -> np.ndarray:
-    """The element stack F_y = H_y H_y^dag, shape (m, d, d)."""
-    return factors @ factors.conj().transpose(0, 2, 1)
-
-
-def _conditional_traces(states: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """Re tr(rho^x H_y H_y^dag) for all pairs, shape (|X|, m)."""
-    products = np.tensordot(states, factors, axes=([2], [1]))  # (x, i, y, k)
-    return (products * factors.conj().transpose(1, 0, 2)).real.sum(axis=(1, 3))
-
-
 def _stack_objective(traces: np.ndarray) -> float:
     return float(traces.max(axis=0).sum())
 
@@ -181,8 +158,7 @@ def leakage_objective(ensemble: Ensemble, povm: Povm):
         raise DimensionMismatchError(
             f"ensemble dim {ensemble.dim} != POVM dim {povm.dim}"
         )
-    traces = np.einsum("xij,yji->xy", ensemble.state_stack(),
-                       povm.element_stack()).real
+    traces = conditional_traces(ensemble.state_stack(), povm.factors).real
     objective = _stack_objective(traces)
     if objective < 1.0 - 1e-8 or objective > ensemble.size + 1e-8:
         raise NumericalFailureError(
@@ -216,9 +192,10 @@ def ascent_step(ensemble: Ensemble, povm: Povm, mu: float) -> Povm:
         F_y  <-  S^(-1/2) G_y^dag F_y G_y S^(-1/2),
         G_y = I + mu (rho^{x*(y)} - sum_z rho^{x*(z)} F_z),  S = sum_y (...).
 
-    The update acts on factors F_y = H_y H_y^dag (H_y <- S^(-1/2) G_y^dag H_y),
-    so every element stays PSD and the set sums to the identity up to the
-    whitening regularizer; elements of any rank are accepted.
+    The update acts on the POVM's factors F_y = H_y H_y^dag
+    (H_y <- S^(-1/2) G_y^dag H_y), so every element stays PSD and the set
+    sums to the identity up to the whitening regularizer; elements of any
+    rank are accepted.
     """
     if ensemble.dim != povm.dim:
         raise DimensionMismatchError(
@@ -227,18 +204,15 @@ def ascent_step(ensemble: Ensemble, povm: Povm, mu: float) -> Povm:
     if mu <= 0.0:
         raise ValueError("step size must be positive")
     states = ensemble.state_stack()
-    factors = _factor(povm.element_stack())
-    stepped = _step(states, factors, mu, _conditional_traces(states, factors))
-    return Povm(list(_elements(stepped)))
+    traces = conditional_traces(states, povm.factors).real
+    return Povm.from_factors(_step(states, povm.factors, mu, traces))
 
 
 def _run_restart(states: np.ndarray, dim: int, cfg: AscentConfig,
                  povm_size: int, restart_seed: int):
     """Ascend from one random initialization; returns (trace, final factors)."""
-    # random_povm draws rank-one elements: the top eigenpair is the factor.
-    start = random_povm(dim, povm_size, restart_seed)
-    factors = _factor(start.element_stack())[..., -1:]
-    traces_xy = _conditional_traces(states, factors)
+    factors = random_povm(dim, povm_size, restart_seed).factors
+    traces_xy = conditional_traces(states, factors).real
     objective = _stack_objective(traces_xy)
     trace = ConvergenceTrace()
     trace.append(0, objective, _bits(objective), 0.0)
@@ -246,7 +220,7 @@ def _run_restart(states: np.ndarray, dim: int, cfg: AscentConfig,
         mu_trial = cfg.mu
         while True:
             candidate = _step(states, factors, mu_trial, traces_xy)
-            cand_traces = _conditional_traces(states, candidate)
+            cand_traces = conditional_traces(states, candidate).real
             cand_objective = _stack_objective(cand_traces)
             if cand_objective >= objective - BACKTRACK_SLACK:
                 break
@@ -290,7 +264,7 @@ def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
     traces = [trace for trace, _ in results]
     finals = [trace.final_leakage for trace in traces]
     best = int(np.argmax(finals))
-    ceiling = min(math.log2(ensemble.size), 2.0 * math.log2(dim))
+    ceiling = min(math.log2(ensemble.size), math.log2(dim))
     leakage = finals[best]
     if leakage > ceiling + 1e-6:
         raise NumericalFailureError(
@@ -298,7 +272,7 @@ def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
         )
     return LeakageReport(
         leakage_bits=leakage,
-        optimal_povm=Povm(list(_elements(results[best][1]))),
+        optimal_povm=Povm.from_factors(results[best][1]),
         best_restart=best,
         traces=traces,
         restart_leakages=finals,

@@ -8,8 +8,6 @@ All functions are pure; inputs are never modified.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .exceptions import (
@@ -29,19 +27,6 @@ HERMITIAN_ATOL = 1e-9
 PSD_EIG_FLOOR = -1e-9
 
 
-class HermitianEig(NamedTuple):
-    """Spectral decomposition of a Hermitian matrix.
-
-    eigenvalues are real and sorted descending; eigenvectors holds the
-    matching orthonormal eigenvectors as columns, so that
-    ``eigenvectors @ diag(eigenvalues) @ eigenvectors.conj().T``
-    reconstructs the input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def as_cmatrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D complex128 array and reject non-finite entries."""
     arr = np.asarray(m, dtype=np.complex128)
@@ -59,47 +44,28 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (m + m^dag) / 2."""
-    return (m + m.conj().T) / 2
+    """Return the Hermitian part (m + m^dag) / 2 of a matrix or a stack of
+    matrices (the last two axes)."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
-def herm_eig(m, symmetrize: bool = False) -> HermitianEig:
-    """Eigendecompose a Hermitian matrix, eigenvalues descending.
+def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompose the Hermitian part (m + m^dag)/2 of a square matrix.
 
-    Parameters
-    ----------
-    m : array_like
-        Square matrix. Must be Hermitian within tolerance unless
-        ``symmetrize`` is set, in which case (m + m^dag)/2 is decomposed.
-    symmetrize : bool
-        Replace m by its Hermitian part before decomposing.
-
-    Returns
-    -------
-    HermitianEig
-        Real eigenvalues sorted descending and matching eigenvector
-        columns.
+    Returns numpy's ``(eigenvalues, eigenvectors)``: real eigenvalues in
+    ascending order and the matching orthonormal eigenvectors as columns.
 
     Raises
     ------
-    NonSquareError, NotHermitianError, NumericalFailureError
+    NonSquareError, NumericalFailureError
     """
     arr = as_cmatrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise NonSquareError(f"expected square matrix, got shape {arr.shape}")
-    if symmetrize:
-        arr = hermitize(arr)
-    elif hermiticity_defect(arr) > HERMITIAN_ATOL:
-        raise NotHermitianError(
-            f"asymmetry {hermiticity_defect(arr):.3e} exceeds {HERMITIAN_ATOL:.0e}; "
-            "pass symmetrize=True to decompose the Hermitian part"
-        )
     try:
-        vals, vecs = np.linalg.eigh(arr)
+        return np.linalg.eigh(hermitize(arr))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
-    # eigh returns ascending order
-    return HermitianEig(vals[::-1].copy(), vecs[:, ::-1].copy())
 
 
 def inv_sqrt_psd(s, reg: float = 0.0) -> np.ndarray:
@@ -114,9 +80,9 @@ def inv_sqrt_psd(s, reg: float = 0.0) -> np.ndarray:
     NotPsdError
         If any eigenvalue lies below the PSD floor.
     """
-    vals, vecs = herm_eig(s, symmetrize=True)
-    if vals[-1] < PSD_EIG_FLOOR:
-        raise NotPsdError(f"eigenvalue {vals[-1]:.3e} below PSD floor {PSD_EIG_FLOOR:.0e}")
+    vals, vecs = herm_eig(s)
+    if vals[0] < PSD_EIG_FLOOR:
+        raise NotPsdError(f"eigenvalue {vals[0]:.3e} below PSD floor {PSD_EIG_FLOOR:.0e}")
     if reg <= 0.0:
         reg = np.finfo(np.float64).eps
     clamped = np.maximum(vals, 0.0)
@@ -137,5 +103,5 @@ def trace_distance(a, b) -> float:
     for name, mat in (("a", am), ("b", bm)):
         if hermiticity_defect(mat) > HERMITIAN_ATOL:
             raise NotHermitianError(f"{name} is not Hermitian within {HERMITIAN_ATOL:.0e}")
-    vals, _ = herm_eig(am - bm, symmetrize=True)
+    vals, _ = herm_eig(am - bm)
     return float(0.5 * np.sum(np.abs(vals)))

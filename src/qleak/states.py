@@ -171,7 +171,12 @@ class Ensemble:
 
 
 class Povm:
-    """Ordered set of PSD operators summing to the identity."""
+    """Ordered set of PSD operators F_y summing to the identity.
+
+    Holds the elements (``elements``, one d x d array each) and their
+    factors (``factors``, shape (m, d, r), F_y = H_y H_y^dag); the factors
+    of an element of rank below r are padded with zero columns.
+    """
 
     def __init__(self, elements: Iterable):
         mats = [linalg.as_cmatrix(e, f"POVM element {i}") for i, e in enumerate(elements)]
@@ -183,25 +188,46 @@ class Povm:
                 raise DimensionMismatchError(f"POVM element {i} has shape {m.shape}")
             if not linalg.hermiticity_defect(m) <= POVM_ATOL:
                 raise NotHermitianError(f"POVM element {i} is not Hermitian")
-            low = np.linalg.eigvalsh(linalg.hermitize(m))[0]
+        stack = linalg.hermitize(np.stack(mats))
+        vals, vecs = np.linalg.eigh(stack)
+        for i, low in enumerate(vals[:, 0]):
             if not low >= -POVM_ATOL:
                 raise NotPsdError(f"POVM element {i} has eigenvalue {low:.3e}")
-        total = sum(mats)
-        defect = np.max(np.abs(total - np.eye(dim)))
+        # Keep each element's eigenpairs above d * eps * lambda_max and pad
+        # with zero columns up to the largest rank r; the ascent maps a zero
+        # column to zero, so padding never changes the iterate.
+        keep = vals > dim * np.finfo(np.float64).eps * vals[:, -1:]
+        rank = max(int(keep.sum(axis=1).max()), 1)
+        scales = np.sqrt(np.where(keep, vals, 0.0)[:, -rank:])
+        self._store(stack, vecs[:, :, -rank:] * scales[:, None, :])
+
+    @classmethod
+    def from_factors(cls, factors) -> "Povm":
+        """The POVM with elements F_y = H_y H_y^dag, from factors of shape
+        (m, d, r); PSD by construction, checked for completeness."""
+        h = np.asarray(factors, dtype=np.complex128)
+        if h.ndim != 3 or 0 in h.shape[:2]:
+            raise DimensionMismatchError(f"POVM factors must have shape (m, d, r), got {h.shape}")
+        if not np.all(np.isfinite(h)):
+            raise NumericalFailureError("POVM factors contain NaN or Inf entries")
+        povm = cls.__new__(cls)
+        povm._store(linalg.hermitize(h @ h.conj().swapaxes(1, 2)), h)
+        return povm
+
+    def _store(self, elements: np.ndarray, factors: np.ndarray):
+        dim = elements.shape[-1]
+        defect = np.max(np.abs(elements.sum(axis=0) - np.eye(dim)))
         if not defect <= POVM_ATOL:
             raise NumericalFailureError(
                 f"POVM completeness defect {defect:.3e} exceeds {POVM_ATOL:.0e}"
             )
-        self.elements = tuple(_frozen(linalg.hermitize(m)) for m in mats)
+        self.elements = tuple(_frozen(elements))
+        self.factors = _frozen(factors)
         self.dim = dim
 
     @classmethod
     def computational_basis(cls, dim: int) -> "Povm":
-        return cls([np.diag(row) for row in np.eye(dim)])
-
-    def element_stack(self) -> np.ndarray:
-        """All elements as one (m, d, d) array (a fresh, writable copy)."""
-        return np.stack(self.elements)
+        return cls.from_factors(np.eye(dim)[:, :, None])
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -242,6 +268,13 @@ class KrausChannel:
         return f"KrausChannel({self.dim_in}->{self.dim_out}, {len(self.kraus_ops)} ops)"
 
 
+def conditional_traces(states: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """tr(rho^x H_y H_y^dag) for a state stack (|X|, d, d) and POVM factors
+    (m, d, r), as a complex (|X|, m) array; the imaginary part is roundoff."""
+    products = np.tensordot(states, factors, axes=([2], [1]))  # (x, i, y, k)
+    return (products * factors.conj().transpose(1, 0, 2)).sum(axis=(1, 3))
+
+
 def born_distribution(ensemble: Ensemble, povm: Povm) -> np.ndarray:
     """Measurement-outcome probabilities P[y|x] for every ensemble symbol.
 
@@ -252,7 +285,7 @@ def born_distribution(ensemble: Ensemble, povm: Povm) -> np.ndarray:
         raise DimensionMismatchError(
             f"ensemble dim {ensemble.dim} != POVM dim {povm.dim}"
         )
-    traces = np.einsum("xij,yji->xy", ensemble.state_stack(), povm.element_stack())
+    traces = conditional_traces(ensemble.state_stack(), povm.factors)
     worst_imag = float(np.max(np.abs(traces.imag)))
     if worst_imag > 1e-9:
         raise ImaginaryLeakError(f"Born probabilities carry imaginary part {worst_imag:.3e}")
@@ -296,8 +329,6 @@ def depolarizing_global(p: float, dim: int) -> KrausChannel:
     only the action is contractual, not this particular Kraus set.
     """
     p = _check_probability(p)
-    if dim < 2:
-        raise DimensionMismatchError("depolarizing channel needs dim >= 2")
     ops = [np.sqrt(1.0 - p) * np.eye(dim)]
     if p > 0.0:
         scale = np.sqrt(p / dim)
@@ -341,10 +372,10 @@ def depolarizing_local(p: float, qubits: int) -> KrausChannel:
 
 
 def qubit_count(dim: int) -> int:
-    """The number of qubits k of a register of dimension dim = 2^k."""
-    if dim < 1 or dim & (dim - 1):
+    """The number of qubits k >= 1 of a register of dimension dim = 2^k."""
+    if dim < 2 or dim & (dim - 1):
         raise UnsupportedDimensionError(
-            f"per-qubit noise needs a power-of-two dimension, got {dim}"
+            f"per-qubit noise needs dimension 2^k with k >= 1 qubits, got {dim}"
         )
     return dim.bit_length() - 1
 
@@ -404,7 +435,7 @@ def random_povm(dim: int, size: int, seed: int) -> Povm:
         if eigs[0] > 1e-10 * max(1.0, eigs[-1]):
             w = linalg.inv_sqrt_psd(s)
             h = g @ w.T  # h_y = w @ g_y since w is symmetric under transpose-conj
-            return Povm([np.outer(v, v.conj()) for v in h])
+            return Povm.from_factors(h[:, :, None])
     raise DegenerateDrawError(
         f"normalizer stayed rank-deficient after retries (size={size}, dim={dim}; "
         "size >= dim is required)"

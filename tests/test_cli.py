@@ -4,9 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from qleak import ensemble_to_config, encode_index, leakage
+from qleak import cli, ensemble_to_config, encode_index, leakage
 from qleak.cli import main
 from qleak.ensemble_io import canonical_json
+
+
+def dimension_one_file(tmp_path):
+    path = tmp_path / "d1.json"
+    path.write_text(json.dumps({"dimension": 1, "symbols": [
+        {"label": "a", "state": {"kind": "basis_index", "index": 0}},
+        {"label": "b", "state": {"kind": "pure_vector", "amplitudes": [[0, 1]]}}]}))
+    return str(path)
 
 
 def read_result(out_dir):
@@ -83,6 +91,14 @@ class TestCompute:
         assert main(["compute", "--ensemble", "builtin:missing",
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1e-9"])
+    def test_eps_must_be_finite_and_positive(self, tmp_path, capsys, eps):
+        out = tmp_path / "o"
+        assert main(["compute", "--ensemble", "builtin:index2",
+                     f"--eps={eps}", "--out", str(out)]) == 2
+        assert "termination threshold" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestNoiseSweep:
     def test_index8_formula_column(self, tmp_path):
@@ -121,6 +137,25 @@ class TestNoiseSweep:
         assert main(["noise-sweep", "--ensemble", "builtin:index2",
                      "--channel", "global", "--p-steps", "1",
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_dimension_one_global(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["noise-sweep", "--ensemble", dimension_one_file(tmp_path),
+                     "--channel", "global", "--p-steps", "3", "--restarts", "2",
+                     "--out", str(out)]) == 0
+        rows = (out / "noise_sweep.csv").read_text().splitlines()[2:]
+        assert [[float(v) for v in row.split(",")] for row in rows] == [
+            [0.0, 0.0, 0.0, 1.0], [0.5, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]]
+
+    def test_dimension_one_local_exits_4_before_solving(self, tmp_path, monkeypatch,
+                                                        capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before rejecting the dimension")
+
+        monkeypatch.setattr(cli, "compute_leakage", no_solve)
+        assert main(["noise-sweep", "--ensemble", dimension_one_file(tmp_path),
+                     "--channel", "local", "--out", str(tmp_path / "o")]) == 4
+        assert "k >= 1" in capsys.readouterr().err
 
     def test_local_requires_power_of_two(self, tmp_path):
         path = tmp_path / "d3.json"
@@ -164,6 +199,14 @@ class TestVerify:
         assert any(line.startswith("povm_dominance") and "FAIL" in line
                    for line in printed.splitlines())
         assert "FAILURES detected" in printed
+
+    def test_dimension_one_passes_with_local_skip(self, tmp_path, capsys):
+        assert main(["verify", "--ensemble", dimension_one_file(tmp_path),
+                     "--restarts", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "all checks passed"
+        (local,) = [line for line in lines if line.startswith("local_noise_bound")]
+        assert "SKIP" in local
 
     def test_invalid_input_exits_2(self, tmp_path):
         assert main(["verify", "--ensemble", str(tmp_path / "missing.json")]) == 2

@@ -308,7 +308,7 @@ class TestSchemaFuzz:
     @settings(max_examples=200, deadline=None)
     @given(cfg_path=st.sampled_from([(cfg, path) for cfg in FUZZ_CHANNELS
                                      for path in field_paths(cfg)]),
-           value=JSON_VALUES, dim=st.sampled_from([2, 3, 4]))
+           value=JSON_VALUES, dim=st.sampled_from([1, 2, 3, 4]))
     def test_channel_field_replaced_by_any_json(self, cfg_path, value, dim):
         cfg, path = cfg_path
         try:

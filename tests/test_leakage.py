@@ -79,6 +79,19 @@ class TestLeakageObjective:
         with pytest.raises(DimensionMismatchError):
             leakage_objective(encode_index(2), Povm.computational_basis(3))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_dense_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        e = random_ensemble(3, 5, rng)
+        fine = random_povm(3, 9, seed=seed)
+        mixed = Povm([fine.elements[0] + fine.elements[1], *fine.elements[2:]])
+        for povm in (fine, mixed):
+            traces = np.einsum("xij,yji->xy", e.state_stack(),
+                               np.stack(povm.elements)).real
+            objective, _, winners = leakage_objective(e, povm)
+            assert objective == pytest.approx(traces.max(axis=0).sum(), abs=1e-12)
+            assert winners == [e.symbols[i] for i in traces.argmax(axis=0)]
+
 
 class TestAscentStep:
     @pytest.mark.parametrize("dim", range(2, 9))
@@ -116,7 +129,7 @@ class TestAscentStep:
     def dense_step(ensemble, povm, mu):
         """Reference update on full matrices: W G_y^dag F_y G_y W."""
         states = ensemble.state_stack()
-        elements = povm.element_stack()
+        elements = np.stack(povm.elements)
         traces = np.einsum("xij,yji->xy", states, elements).real
         picked = states[traces.argmax(axis=0)]
         drift = sum(r @ f for r, f in zip(picked, elements))
@@ -203,6 +216,20 @@ class TestComputeLeakage:
         report = compute_leakage(encode_amplitude_3bit(),
                                  AscentConfig(restarts=1, max_iters=3, seed=0))
         assert report.converged_flags == [False]
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(ValueError):
+            AscentConfig(eps=eps)
+
+    def test_ceiling_is_log2_dim(self):
+        # Six symbols on a qubit: min(log2 6, log2 2) = 1 bit.
+        rng = np.random.default_rng(4)
+        e = Ensemble([f"s{i}" for i in range(6)],
+                     [random_density(2, rng) for _ in range(6)])
+        report = compute_leakage(e, AscentConfig(restarts=2, seed=0))
+        assert report.ceiling_bits == 1.0
+        assert report.leakage_bits <= 1.0 + 1e-6
 
     def test_povm_size_floor(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from qleak import (
     random_kraus_channel,
     random_povm,
 )
+from qleak.states import qubit_count
 from qleak.exceptions import (
     DegenerateDrawError,
     DimensionMismatchError,
@@ -24,6 +25,7 @@ from qleak.exceptions import (
     NotHermitianError,
     NotPsdError,
     NumericalFailureError,
+    UnsupportedDimensionError,
 )
 from helpers import random_density, random_pure
 
@@ -100,6 +102,41 @@ class TestPovm:
         with pytest.raises(NotPsdError):
             Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
 
+    def test_factors_reconstruct_mixed_rank_elements(self):
+        fine = random_povm(4, 16, seed=3)
+        cuts = [0, 1, 3, 6, 10, 16]            # ranks 1, 2, 3, 4 and 4
+        elements = [sum(fine.elements[a:b]) for a, b in zip(cuts, cuts[1:])]
+        f = Povm(elements + [np.zeros((4, 4))])
+        assert f.factors.shape == (6, 4, 4)
+        rebuilt = f.factors @ f.factors.conj().transpose(0, 2, 1)
+        assert np.max(np.abs(rebuilt - np.stack(f.elements))) <= 1e-12
+        assert np.max(np.abs(rebuilt[-1])) <= 1e-12
+        assert not f.factors.flags.writeable
+
+    def test_from_factors_matches_elements(self):
+        h = random_povm(3, 9, seed=5).factors
+        f = Povm.from_factors(h)
+        assert np.array_equal(f.factors, h)
+        for el, v in zip(f.elements, h[:, :, 0]):
+            assert np.max(np.abs(el - np.outer(v, v.conj()))) <= 1e-15
+
+    def test_from_factors_rejects_incomplete(self):
+        h = random_povm(2, 4, seed=0).factors
+        with pytest.raises(NumericalFailureError):
+            Povm.from_factors(h[:3])
+        with pytest.raises(NumericalFailureError):
+            Povm.from_factors(0.9 * h)
+
+    def test_from_factors_rejects_nan(self):
+        h = np.array(random_povm(2, 4, seed=0).factors)
+        h[1, 0, 0] = np.nan
+        with pytest.raises(NumericalFailureError):
+            Povm.from_factors(h)
+
+    def test_from_factors_rejects_bad_shape(self):
+        with pytest.raises(DimensionMismatchError):
+            Povm.from_factors(np.eye(2))
+
 
 class TestKrausChannel:
     def test_identity(self):
@@ -155,6 +192,18 @@ class TestBornDistribution:
         with pytest.raises(DimensionMismatchError):
             born_distribution(encode_index(2), Povm.computational_basis(3))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_dense_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        e = Ensemble([f"s{i}" for i in range(4)],
+                     [random_density(3, rng) for _ in range(4)])
+        fine = random_povm(3, 9, seed=seed)
+        mixed = Povm([fine.elements[0] + fine.elements[1], *fine.elements[2:]])
+        for povm in (fine, mixed):
+            dense = np.einsum("xij,yji->xy", e.state_stack(),
+                              np.stack(povm.elements)).real
+            assert np.max(np.abs(born_distribution(e, povm) - dense)) <= 1e-12
+
 
 class TestDepolarizingGlobal:
     def test_p0_is_identity(self):
@@ -175,7 +224,7 @@ class TestDepolarizingGlobal:
         assert np.allclose(out.matrix, np.diag([0.75, 0.25]))
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.9, 1.0])
-    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_kraus_matches_affine_formula(self, p, dim):
         rng = np.random.default_rng(int(p * 10) + dim)
         rho = random_density(dim, rng)
@@ -227,6 +276,15 @@ class TestDepolarizingLocal:
     def test_qubit_cap(self):
         with pytest.raises(DimensionOverflowError):
             depolarizing_local(0.5, 7)
+
+    @pytest.mark.parametrize("dim,qubits", [(2, 1), (4, 2), (64, 6)])
+    def test_qubit_count(self, dim, qubits):
+        assert qubit_count(dim) == qubits
+
+    @pytest.mark.parametrize("dim", [0, 1, 3, 6])
+    def test_qubit_count_needs_a_qubit_register(self, dim):
+        with pytest.raises(UnsupportedDimensionError, match="k >= 1"):
+            qubit_count(dim)
 
 
 class TestEncoders:
