@@ -35,4 +35,4 @@ show("index encoding of 4 symbols, random channel for data processing",
 flat = Ensemble(["a", "b", "c"], [DensityOperator.maximally_mixed(2)] * 3)
 show("indistinguishable ensemble (every guarantee collapses to zero)",
      verify_properties(flat, AscentConfig(restarts=2, seed=0),
-                       noise_grid=(0.5,), dominance_probes=20))
+                       noise_grid=(0.5,)))

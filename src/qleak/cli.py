@@ -28,7 +28,6 @@ from .ensemble_io import (
     resolve_ensemble,
 )
 from .exceptions import (
-    DegenerateDrawError,
     DimensionOverflowError,
     EnsembleConfigError,
     ImaginaryLeakError,
@@ -60,8 +59,6 @@ def _ascent_flags(parser: argparse.ArgumentParser):
                         help="absolute objective-change termination threshold")
     parser.add_argument("--max-iters", type=int, default=10000)
     parser.add_argument("--restarts", type=int, default=10)
-    parser.add_argument("--povm-size", type=int, default=None,
-                        help="measurement outcomes per restart (default dim^2)")
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -72,7 +69,6 @@ def _config_from_args(args) -> AscentConfig:
         max_iters=args.max_iters,
         restarts=args.restarts,
         seed=args.seed,
-        povm_size=args.povm_size,
     )
 
 
@@ -121,11 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest(command: str, cfg: AscentConfig, resolved_povm_size: int,
+def _manifest(command: str, cfg: AscentConfig, dim: int,
               input_path: str, input_sha256: str, wall_seconds: float,
               extra: dict | None = None) -> dict:
     config = dataclasses.asdict(cfg)
-    config["povm_size"] = resolved_povm_size
+    config["povm_size"] = dim * dim  # outcomes of every restart's POVM
     if extra:
         config.update(extra)
     return {
@@ -160,7 +156,7 @@ def _cmd_compute(args) -> int:
     report = compute_leakage(ensemble, cfg)
     wall = time.perf_counter() - started
 
-    manifest = _manifest("compute", cfg, cfg.resolved_povm_size(ensemble.dim),
+    manifest = _manifest("compute", cfg, ensemble.dim,
                          args.ensemble, digest, wall)
     best_trace = report.traces[report.best_restart]
     result = {
@@ -207,7 +203,7 @@ def _cmd_noise_sweep(args) -> int:
     wall = time.perf_counter() - started
 
     manifest = _manifest(
-        "noise-sweep", cfg, cfg.resolved_povm_size(ensemble.dim),
+        "noise-sweep", cfg, ensemble.dim,
         args.ensemble, digest, wall,
         extra={"channel": args.channel, "p_start": args.p_start,
                "p_end": args.p_end, "p_steps": args.p_steps,
@@ -247,7 +243,7 @@ def _cmd_verify(args) -> int:
 
     if args.out:
         manifest = _manifest(
-            "verify", cfg, cfg.resolved_povm_size(ensemble.dim),
+            "verify", cfg, ensemble.dim,
             args.ensemble, digest, wall,
             extra={"channel_file": args.channel_file,
                    "channel_sha256": channel_sha},
@@ -263,9 +259,8 @@ def _cmd_verify(args) -> int:
 def _exit_code(exc: Exception) -> int:
     if isinstance(exc, (UnsupportedDimensionError, DimensionOverflowError)):
         return EXIT_UNSUPPORTED
-    if isinstance(exc, (NumericalFailureError, NotPsdError, DegenerateDrawError,
-                        ImaginaryLeakError, InvalidChannelError,
-                        np.linalg.LinAlgError)):
+    if isinstance(exc, (NumericalFailureError, NotPsdError, ImaginaryLeakError,
+                        InvalidChannelError, np.linalg.LinAlgError)):
         return EXIT_NUMERICAL
     if isinstance(exc, (EnsembleConfigError, InvalidProbabilityError, QLeakError,
                         ValueError, OSError)):

@@ -48,12 +48,6 @@ class DimensionOverflowError(QLeakError, ValueError):
     """Requested construction would blow up combinatorially."""
 
 
-class DegenerateDrawError(QLeakError, RuntimeError):
-    """Random POVM initialization produced a rank-deficient normalizer
-    repeatedly (typically because fewer elements than the dimension were
-    requested)."""
-
-
 class UnsupportedDimensionError(QLeakError, ValueError):
     """Operation is only implemented for a restricted set of dimensions."""
 

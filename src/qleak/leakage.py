@@ -53,14 +53,16 @@ MU_MIN = 1e-6
 BACKTRACK_SLACK = 1e-13
 WHITENING_REG = 1e-12
 
+# Random POVMs that the povm_dominance check probes besides the optimum.
+DOMINANCE_PROBES = 100
+
 
 @dataclass(frozen=True)
 class AscentConfig:
     """Knobs of the subgradient ascent.
 
-    povm_size defaults to dim^2 (the size that always suffices for the
-    optimum) when left as None; it must be at least the dimension for the
-    random initialization to produce a full-rank normalizer.
+    Every restart starts from a random rank-one POVM with d^2 outcomes, the
+    size that always suffices for the optimum.
     """
 
     mu: float = 0.1
@@ -68,7 +70,6 @@ class AscentConfig:
     max_iters: int = 10000
     restarts: int = 10
     seed: int = 0
-    povm_size: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.mu <= 10.0:
@@ -78,14 +79,6 @@ class AscentConfig:
                              "and positive")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
-        if self.povm_size is not None and self.povm_size < 1:
-            raise ValueError("povm_size must be positive")
-
-    def resolved_povm_size(self, dim: int) -> int:
-        size = self.povm_size if self.povm_size is not None else dim * dim
-        if size < dim:
-            raise ValueError(f"povm_size {size} < dimension {dim}")
-        return size
 
 
 @dataclass
@@ -128,10 +121,6 @@ class LeakageReport:
     @property
     def converged_flags(self) -> list[bool]:
         return [t.converged for t in self.traces]
-
-    @property
-    def all_converged(self) -> bool:
-        return all(self.converged_flags)
 
 
 def _stack_objective(traces: np.ndarray) -> float:
@@ -209,9 +198,9 @@ def ascent_step(ensemble: Ensemble, povm: Povm, mu: float) -> Povm:
 
 
 def _run_restart(states: np.ndarray, dim: int, cfg: AscentConfig,
-                 povm_size: int, restart_seed: int):
+                 restart_seed: int):
     """Ascend from one random initialization; returns (trace, final factors)."""
-    factors = random_povm(dim, povm_size, restart_seed).factors
+    factors = random_povm(dim, dim * dim, restart_seed).factors
     traces_xy = conditional_traces(states, factors).real
     objective = _stack_objective(traces_xy)
     trace = ConvergenceTrace()
@@ -256,9 +245,8 @@ def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
     """
     cfg = cfg or AscentConfig()
     dim = ensemble.dim
-    povm_size = cfg.resolved_povm_size(dim)
     states = ensemble.state_stack()
-    results = [_run_restart(states, dim, cfg, povm_size, cfg.seed + i)
+    results = [_run_restart(states, dim, cfg, cfg.seed + i)
                for i in range(cfg.restarts)]
 
     traces = [trace for trace, _ in results]
@@ -454,7 +442,6 @@ def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
                       channel: KrausChannel | None = None,
                       checks: tuple[str, ...] = ALL_PROPERTY_CHECKS,
                       noise_grid: tuple[float, ...] = (0.0, 0.3, 0.7, 1.0),
-                      dominance_probes: int = 100,
                       threads: int = 1) -> PropertyReport:
     """Run the structural-property suite against one ensemble.
 
@@ -462,7 +449,8 @@ def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
     leakage; "independence_iff_zero" (the leakage is at least the largest
     exact two-state leakage over pairs of states, and zero when that is
     zero); "povm_dominance" (I(X;Y) never exceeds the per-measurement
-    objective in bits, probed on the optimizer's POVM plus random ones);
+    objective in bits, probed on the optimizer's POVM plus DOMINANCE_PROBES
+    random ones with d^2 outcomes);
     "data_processing" (a channel cannot increase leakage; a seeded random
     channel is drawn when none is supplied); "global_noise_exactness"
     (optimized leakage of the globally depolarized ensemble matches the
@@ -500,10 +488,10 @@ def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
             f"max pairwise two-state bits={pair_bits:.3e}, leakage_bits={q0:.3e}"))
 
     if "povm_dominance" in checks:
-        size = cfg.resolved_povm_size(ensemble.dim)
+        dim = ensemble.dim
         probes = [baseline.optimal_povm] + [
-            random_povm(ensemble.dim, size, cfg.seed + 1000 + i)
-            for i in range(dominance_probes)]
+            random_povm(dim, dim * dim, cfg.seed + 1000 + i)
+            for i in range(DOMINANCE_PROBES)]
         gaps = [mutual_information(ensemble, povm) - leakage_objective(ensemble, povm)[1]
                 for povm in probes]
         results.append(PropertyCheck(

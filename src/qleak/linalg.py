@@ -58,14 +58,22 @@ def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     NonSquareError, NumericalFailureError
+        The latter also when an eigenvalue is not finite (the eigensolver
+        overflowed on finite entries).
     """
     arr = as_cmatrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise NonSquareError(f"expected square matrix, got shape {arr.shape}")
     try:
-        return np.linalg.eigh(hermitize(arr))
+        vals, vecs = np.linalg.eigh(hermitize(arr))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
+    if not (-np.inf < vals[0] and vals[-1] < np.inf):
+        raise NumericalFailureError(
+            f"eigensolver returned non-finite eigenvalues in "
+            f"[{vals[0]:.3e}, {vals[-1]:.3e}]"
+        )
+    return vals, vecs
 
 
 def inv_sqrt_psd(s, reg: float = 0.0) -> np.ndarray:
@@ -81,7 +89,7 @@ def inv_sqrt_psd(s, reg: float = 0.0) -> np.ndarray:
         If any eigenvalue lies below the PSD floor.
     """
     vals, vecs = herm_eig(s)
-    if vals[0] < PSD_EIG_FLOOR:
+    if not vals[0] >= PSD_EIG_FLOOR:
         raise NotPsdError(f"eigenvalue {vals[0]:.3e} below PSD floor {PSD_EIG_FLOOR:.0e}")
     if reg <= 0.0:
         reg = np.finfo(np.float64).eps
@@ -101,7 +109,7 @@ def trace_distance(a, b) -> float:
     if am.shape != bm.shape:
         raise DimensionMismatchError(f"shape mismatch {am.shape} vs {bm.shape}")
     for name, mat in (("a", am), ("b", bm)):
-        if hermiticity_defect(mat) > HERMITIAN_ATOL:
+        if not hermiticity_defect(mat) <= HERMITIAN_ATOL:
             raise NotHermitianError(f"{name} is not Hermitian within {HERMITIAN_ATOL:.0e}")
     vals, _ = herm_eig(am - bm)
     return float(0.5 * np.sum(np.abs(vals)))

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import linalg
 from .exceptions import (
-    DegenerateDrawError,
     DimensionMismatchError,
     DimensionOverflowError,
     ImaginaryLeakError,
@@ -145,11 +144,6 @@ class Ensemble:
         """All states as one (|X|, d, d) array (a fresh, writable copy)."""
         return np.stack([s.matrix for s in self.states])
 
-    def average_state(self) -> DensityOperator:
-        """The prior-weighted mixture sum_x p(x) rho^x."""
-        avg = np.tensordot(self.priors, self.state_stack(), axes=1)
-        return DensityOperator(avg)
-
     def with_priors(self, priors: Sequence[float]) -> "Ensemble":
         return Ensemble(self.symbols, self.states, priors)
 
@@ -173,9 +167,9 @@ class Ensemble:
 class Povm:
     """Ordered set of PSD operators F_y summing to the identity.
 
-    Holds the elements (``elements``, one d x d array each) and their
-    factors (``factors``, shape (m, d, r), F_y = H_y H_y^dag); the factors
-    of an element of rank below r are padded with zero columns.
+    Stored as its factors (``factors``, shape (m, d, r), F_y = H_y H_y^dag);
+    the factors of an element of rank below r are padded with zero columns.
+    ``elements`` builds the d x d operators from them on each access.
     """
 
     def __init__(self, elements: Iterable):
@@ -193,13 +187,16 @@ class Povm:
         for i, low in enumerate(vals[:, 0]):
             if not low >= -POVM_ATOL:
                 raise NotPsdError(f"POVM element {i} has eigenvalue {low:.3e}")
+        # Completeness is checked on the elements as given: the trimming
+        # below drops the eigenvalues in [-POVM_ATOL, 0) that pass above.
+        _check_completeness(stack.sum(axis=0))
         # Keep each element's eigenpairs above d * eps * lambda_max and pad
         # with zero columns up to the largest rank r; the ascent maps a zero
         # column to zero, so padding never changes the iterate.
         keep = vals > dim * np.finfo(np.float64).eps * vals[:, -1:]
         rank = max(int(keep.sum(axis=1).max()), 1)
         scales = np.sqrt(np.where(keep, vals, 0.0)[:, -rank:])
-        self._store(stack, vecs[:, :, -rank:] * scales[:, None, :])
+        self.factors = _frozen(vecs[:, :, -rank:] * scales[:, None, :])
 
     @classmethod
     def from_factors(cls, factors) -> "Povm":
@@ -210,33 +207,42 @@ class Povm:
             raise DimensionMismatchError(f"POVM factors must have shape (m, d, r), got {h.shape}")
         if not np.all(np.isfinite(h)):
             raise NumericalFailureError("POVM factors contain NaN or Inf entries")
+        _check_completeness(np.tensordot(h, h.conj(), axes=([0, 2], [0, 2])))
         povm = cls.__new__(cls)
-        povm._store(linalg.hermitize(h @ h.conj().swapaxes(1, 2)), h)
+        povm.factors = _frozen(h)
         return povm
-
-    def _store(self, elements: np.ndarray, factors: np.ndarray):
-        dim = elements.shape[-1]
-        defect = np.max(np.abs(elements.sum(axis=0) - np.eye(dim)))
-        if not defect <= POVM_ATOL:
-            raise NumericalFailureError(
-                f"POVM completeness defect {defect:.3e} exceeds {POVM_ATOL:.0e}"
-            )
-        self.elements = tuple(_frozen(elements))
-        self.factors = _frozen(factors)
-        self.dim = dim
 
     @classmethod
     def computational_basis(cls, dim: int) -> "Povm":
         return cls.from_factors(np.eye(dim)[:, :, None])
 
+    @property
+    def dim(self) -> int:
+        return self.factors.shape[1]
+
+    @property
+    def elements(self) -> tuple[np.ndarray, ...]:
+        """The d x d elements, hermitized H_y H_y^dag (frozen copies)."""
+        h = self.factors
+        return tuple(_frozen(linalg.hermitize(h @ h.conj().swapaxes(1, 2))))
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.factors)
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter(self.elements)
 
     def __repr__(self) -> str:
         return f"Povm(m={len(self)}, dim={self.dim})"
+
+
+def _check_completeness(total: np.ndarray):
+    """Raise unless the d x d sum of a POVM's elements is the identity."""
+    defect = np.max(np.abs(total - np.eye(len(total))))
+    if not defect <= POVM_ATOL:
+        raise NumericalFailureError(
+            f"POVM completeness defect {defect:.3e} exceeds {POVM_ATOL:.0e}"
+        )
 
 
 class KrausChannel:
@@ -423,23 +429,21 @@ def random_povm(dim: int, size: int, seed: int) -> Povm:
     outer products S^(-1/2) g_y g_y^dag S^(-1/2) sum to the identity.
 
     Deterministic for a given seed. Needs size >= dim for the normalizer
-    S = sum g_y g_y^dag to be full rank; rank-deficient draws are retried
-    up to 3 times before failing.
+    S = sum g_y g_y^dag to be full rank; a numerically singular draw fails
+    the completeness check with NumericalFailureError.
     """
+    if size < dim:
+        raise DimensionMismatchError(
+            f"random POVM needs size >= dim for a full-rank normalizer, "
+            f"got size {size} < dim {dim}"
+        )
     rng = np.random.default_rng(seed)
-    for _ in range(4):
-        g = (rng.standard_normal((size, dim)) + 1j * rng.standard_normal((size, dim)))
-        g /= np.sqrt(2.0)
-        s = np.einsum("yi,yj->ij", g, g.conj())
-        eigs = np.linalg.eigvalsh(s)
-        if eigs[0] > 1e-10 * max(1.0, eigs[-1]):
-            w = linalg.inv_sqrt_psd(s)
-            h = g @ w.T  # h_y = w @ g_y since w is symmetric under transpose-conj
-            return Povm.from_factors(h[:, :, None])
-    raise DegenerateDrawError(
-        f"normalizer stayed rank-deficient after retries (size={size}, dim={dim}; "
-        "size >= dim is required)"
-    )
+    g = (rng.standard_normal((size, dim)) + 1j * rng.standard_normal((size, dim)))
+    g /= np.sqrt(2.0)
+    s = np.einsum("yi,yj->ij", g, g.conj())
+    w = linalg.inv_sqrt_psd(s)
+    h = g @ w.T  # h_y = w @ g_y since w is symmetric under transpose-conj
+    return Povm.from_factors(h[:, :, None])
 
 
 def random_kraus_channel(dim: int, n_ops: int, seed: int) -> KrausChannel:

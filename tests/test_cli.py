@@ -45,6 +45,12 @@ class TestCompute:
         traces = sorted(out.glob("trace_restart_*.csv"))
         assert len(traces) == 4
 
+    def test_povm_size_option_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--ensemble", "builtin:index2", "--povm-size", "4",
+                  "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+
     def test_trace_csv_monotone_and_manifest(self, tmp_path):
         out = tmp_path / "run"
         assert main(["compute", "--ensemble", "builtin:index2",

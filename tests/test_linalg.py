@@ -85,6 +85,12 @@ class TestInvSqrtPsd:
         out = inv_sqrt_psd(np.diag([1.0, -1e-10]), reg=1e-6)
         assert np.isfinite(out).all()
 
+    def test_overflow_raises_instead_of_nan(self):
+        # Finite entries whose eigendecomposition overflows to NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailureError):
+                inv_sqrt_psd([[1e308, 1e308], [1e308, 1e308]])
+
 
 class TestTraceDistance:
     def test_self_distance(self):
@@ -115,3 +121,8 @@ class TestTraceDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             trace_distance(np.eye(2), np.eye(3))
+
+    def test_overflow_raises_instead_of_nan(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailureError):
+                trace_distance([[0.5, 1e308], [1e308, 0.5]], np.eye(2) / 2)
