@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import hashlib
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -30,7 +30,6 @@ from .ensemble_io import (
 from .exceptions import (
     DimensionOverflowError,
     EnsembleConfigError,
-    ImaginaryLeakError,
     InvalidChannelError,
     InvalidProbabilityError,
     NotPsdError,
@@ -51,6 +50,9 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_UNSUPPORTED = 4
 EXIT_PROPERTY = 5
+
+# BLAS thread settings; the thread count can change a result's last bits.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _ascent_flags(parser: argparse.ArgumentParser):
@@ -117,6 +119,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _environment() -> dict:
+    """The numpy build and thread settings a run's numbers depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        blas = None
+    return {
+        "numpy": np.__version__,
+        "blas": blas,
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _manifest(command: str, cfg: AscentConfig, dim: int,
               input_path: str, input_sha256: str, wall_seconds: float,
               extra: dict | None = None) -> dict:
@@ -127,6 +144,7 @@ def _manifest(command: str, cfg: AscentConfig, dim: int,
     return {
         "command": command,
         "config": config,
+        "environment": _environment(),
         "input_path": input_path,
         "input_sha256": input_sha256,
         "tool_version": __version__,
@@ -227,8 +245,7 @@ def _cmd_verify(args) -> int:
     channel = None
     channel_sha = None
     if args.channel_file:
-        channel = load_channel(args.channel_file, ensemble.dim)
-        channel_sha = hashlib.sha256(Path(args.channel_file).read_bytes()).hexdigest()
+        channel, channel_sha = load_channel(args.channel_file, ensemble.dim)
 
     started = time.perf_counter()
     report = verify_properties(ensemble, cfg, channel=channel)
@@ -259,8 +276,8 @@ def _cmd_verify(args) -> int:
 def _exit_code(exc: Exception) -> int:
     if isinstance(exc, (UnsupportedDimensionError, DimensionOverflowError)):
         return EXIT_UNSUPPORTED
-    if isinstance(exc, (NumericalFailureError, NotPsdError, ImaginaryLeakError,
-                        InvalidChannelError, np.linalg.LinAlgError)):
+    if isinstance(exc, (NumericalFailureError, NotPsdError, InvalidChannelError,
+                        np.linalg.LinAlgError)):
         return EXIT_NUMERICAL
     if isinstance(exc, (EnsembleConfigError, InvalidProbabilityError, QLeakError,
                         ValueError, OSError)):

@@ -270,7 +270,9 @@ def _channel_p(cfg) -> float:
     return float(p)
 
 
-def load_channel(path: str, dim: int) -> KrausChannel:
+def load_channel(path: str, dim: int) -> tuple[KrausChannel, str]:
+    """Load a channel file; returns the channel and the sha256 of the bytes
+    it was parsed from."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -279,4 +281,4 @@ def load_channel(path: str, dim: int) -> KrausChannel:
         cfg = json.loads(raw)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise EnsembleConfigError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_channel_config(cfg, dim)
+    return parse_channel_config(cfg, dim), hashlib.sha256(raw).hexdigest()

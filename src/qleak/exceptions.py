@@ -31,11 +31,6 @@ class NumericalFailureError(QLeakError, ArithmeticError):
     results outside contracted tolerances."""
 
 
-class ImaginaryLeakError(QLeakError, ArithmeticError):
-    """A quantity that must be real carries an imaginary part beyond
-    tolerance, indicating invalid (non-Hermitian) inputs."""
-
-
 class InvalidChannelError(QLeakError, ValueError):
     """Kraus operators do not form a trace-preserving channel."""
 

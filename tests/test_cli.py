@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -44,6 +46,17 @@ class TestCompute:
         assert "leakage_bits=" in capsys.readouterr().out
         traces = sorted(out.glob("trace_restart_*.csv"))
         assert len(traces) == 4
+
+    def test_manifest_records_environment(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["compute", "--ensemble", "builtin:index2",
+                     "--restarts", "1", "--out", str(out)]) == 0
+        env = read_result(out)["manifest"]["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
+        assert set(env["threads"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert env["cpu_count"] == os.cpu_count()
 
     def test_povm_size_option_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -195,6 +208,23 @@ class TestVerify:
                      "--channel-file", str(chan),
                      "--restarts", "3", "--max-iters", "3000"]) == 0
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "global", "p": 0.3},
+        # sum E^dag E - I = 0.9e-9 I, within CHANNEL_ATOL = 1e-9.
+        {"kind": "kraus", "kraus_ops": [[[[math.sqrt(1 + 0.9e-9), 0], [0, 0]],
+                                         [[0, 0], [math.sqrt(1 + 0.9e-9), 0]]]]},
+    ])
+    def test_channel_file_is_parsed_and_hashed_once(self, tmp_path, spec):
+        chan = tmp_path / "chan.json"
+        chan.write_text(json.dumps(spec))
+        out = tmp_path / "report"
+        assert main(["verify", "--ensemble", "builtin:index2",
+                     "--channel-file", str(chan), "--restarts", "3",
+                     "--max-iters", "3000", "--out", str(out)]) == 0
+        manifest = json.loads((out / "verify_report.json").read_text())["manifest"]
+        assert manifest["config"]["channel_sha256"] == \
+            hashlib.sha256(chan.read_bytes()).hexdigest()
+
     def test_failed_check_exits_5(self, monkeypatch, capsys):
         # I(X;Y) of 2 bits exceeds the 1-bit objective of any index2 POVM.
         monkeypatch.setattr(leakage, "mutual_information", lambda e, f: 2.0)
@@ -222,6 +252,7 @@ class TestVerify:
         ("2", "true", "0.5"),
         ("2", "0", "true"),
         ("2", "0", "NaN"),
+        ("2", "0", "0.6"),     # priors sum to 1.1
     ])
     def test_malformed_numbers_exit_2(self, tmp_path, capsys, dimension, index, prior):
         path = tmp_path / "e.json"
@@ -232,4 +263,6 @@ class TestVerify:
             f'{{"label": "b", "prior": 0.5, '
             f'"state": {{"kind": "basis_index", "index": 1}}}}]}}')
         assert main(["verify", "--ensemble", str(path)]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "np." not in err

@@ -12,6 +12,7 @@ from qleak import (
     depolarizing_local,
     encode_amplitude_3bit,
     encode_index,
+    leakage_objective,
     random_kraus_channel,
     random_povm,
 )
@@ -92,6 +93,23 @@ class TestPovm:
     def test_completeness_enforced(self):
         with pytest.raises(NumericalFailureError):
             Povm([np.eye(2) * 0.5])
+
+    def test_completeness_measured_in_operator_norm(self):
+        # The entrywise defect 0.99e-8 is within POVM_ATOL; the operator norm
+        # of -0.99e-8 * J is 1.98e-8, so the POVM is rejected when it is built.
+        with pytest.raises(NumericalFailureError, match="1.980e-08"):
+            Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]) - 0.99e-8 * np.ones((2, 2))])
+
+    def test_accepted_povm_is_scored_without_rechecks(self):
+        # A completeness defect of 0.9e-8 in operator norm passes, and the
+        # scoring functions do not reject what the constructor accepted.
+        f = Povm([np.diag([1.0 + 0.9e-8, 0.0]), np.diag([0.0, 1.0 + 0.9e-8])])
+        e = encode_index(2)
+        assert np.array_equal(born_distribution(e, f), np.eye(2))
+        objective, bits, winners = leakage_objective(e, f)
+        assert objective == pytest.approx(2.0, abs=2e-8)
+        assert bits == pytest.approx(1.0, abs=2e-8)
+        assert winners == ["1", "2"]
 
     def test_psd_enforced(self):
         with pytest.raises(NotPsdError):
