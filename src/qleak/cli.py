@@ -55,23 +55,20 @@ EXIT_PROPERTY = 5
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+# Help text of the ascent flags: one flag per AscentConfig field.
+ASCENT_HELP = {"mu": "ascent step size",
+               "eps": "absolute objective-change termination threshold"}
+
+
 def _ascent_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--mu", type=float, default=0.1, help="ascent step size")
-    parser.add_argument("--eps", type=float, default=1e-9,
-                        help="absolute objective-change termination threshold")
-    parser.add_argument("--max-iters", type=int, default=10000)
-    parser.add_argument("--restarts", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
+    for f in dataclasses.fields(AscentConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                            default=f.default, help=ASCENT_HELP.get(f.name))
 
 
 def _config_from_args(args) -> AscentConfig:
-    return AscentConfig(
-        mu=args.mu,
-        eps=args.eps,
-        max_iters=args.max_iters,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    return AscentConfig(**{f.name: getattr(args, f.name)
+                           for f in dataclasses.fields(AscentConfig)})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -71,7 +71,8 @@ def matrix_to_pairs(matrix: np.ndarray) -> list:
 
 
 def pairs_to_matrix(rows, context: str) -> np.ndarray:
-    """Nested [re, im] pairs -> complex matrix, with shape validation."""
+    """Nested [re, im] pairs -> complex matrix, with shape validation; the
+    pairs are reinterpreted, not multiplied, so Inf entries raise no warning."""
     _require_numbers(rows, context)
     try:
         arr = np.asarray(rows, dtype=np.float64)
@@ -79,7 +80,7 @@ def pairs_to_matrix(rows, context: str) -> np.ndarray:
         raise EnsembleConfigError(f"{context}: entries must be [re, im] pairs") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise EnsembleConfigError(f"{context}: expected a matrix of [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return np.ascontiguousarray(arr).view(np.complex128)[..., 0]
 
 
 def pairs_to_vector(entries, context: str) -> np.ndarray:
@@ -90,7 +91,7 @@ def pairs_to_vector(entries, context: str) -> np.ndarray:
         raise EnsembleConfigError(f"{context}: entries must be [re, im] pairs") from exc
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise EnsembleConfigError(f"{context}: expected a list of [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+    return np.ascontiguousarray(arr).view(np.complex128)[..., 0]
 
 
 def _parse_state(spec, dim: int, label: str) -> DensityOperator:
@@ -211,6 +212,19 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _read_json(path: str, what: str) -> tuple[object, str]:
+    """Parse the JSON file of an ensemble or channel (``what``); returns the
+    parsed value and the sha256 of the bytes it was parsed from."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise EnsembleConfigError(f"cannot read {what} file {path!r}: {exc}") from exc
+    try:
+        return json.loads(raw), hashlib.sha256(raw).hexdigest()
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise EnsembleConfigError(f"{path}: not valid JSON ({exc})") from exc
+
+
 def resolve_ensemble(source: str) -> tuple[Ensemble, str]:
     """Load an ensemble from a file path or a ``builtin:NAME`` preset.
 
@@ -227,16 +241,8 @@ def resolve_ensemble(source: str) -> tuple[Ensemble, str]:
         ensemble = BUILTIN_FACTORIES[name]()
         config = canonical_json(ensemble_to_config(ensemble))
         return ensemble, hashlib.sha256(config.encode()).hexdigest()
-    path = Path(source)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise EnsembleConfigError(f"cannot read ensemble file {source!r}: {exc}") from exc
-    try:
-        cfg = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise EnsembleConfigError(f"{source}: not valid JSON ({exc})") from exc
-    return parse_ensemble_config(cfg), hashlib.sha256(raw).hexdigest()
+    cfg, digest = _read_json(source, "ensemble")
+    return parse_ensemble_config(cfg), digest
 
 
 def parse_channel_config(cfg, dim: int) -> KrausChannel:
@@ -273,12 +279,5 @@ def _channel_p(cfg) -> float:
 def load_channel(path: str, dim: int) -> tuple[KrausChannel, str]:
     """Load a channel file; returns the channel and the sha256 of the bytes
     it was parsed from."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise EnsembleConfigError(f"cannot read channel file {path!r}: {exc}") from exc
-    try:
-        cfg = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise EnsembleConfigError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_channel_config(cfg, dim), hashlib.sha256(raw).hexdigest()
+    cfg, digest = _read_json(path, "channel")
+    return parse_channel_config(cfg, dim), digest

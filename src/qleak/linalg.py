@@ -38,15 +38,18 @@ def as_cmatrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Frobenius-normalized distance of m from its Hermitian part."""
-    norm = np.linalg.norm(m)
-    return float(np.linalg.norm(m - m.conj().T) / max(1.0, norm))
+    """Frobenius-normalized distance ||m - m^dag||_F / max(1, ||m||_F), taken
+    on m divided by its largest real or imaginary entry above 1 (no overflow)."""
+    scale = max(1.0, np.max(np.abs([m.real, m.imag]), initial=0.0))
+    m = m / scale
+    return float(np.linalg.norm(m - m.conj().T) / max(1.0 / scale, np.linalg.norm(m)))
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (m + m^dag) / 2 of a matrix or a stack of
-    matrices (the last two axes)."""
-    return (m + m.conj().swapaxes(-1, -2)) / 2
+    """Return the Hermitian part m/2 + m^dag/2 (halving first is exact and
+    cannot overflow) of a matrix or a stack of matrices (the last two axes)."""
+    half = m / 2
+    return half + half.conj().swapaxes(-1, -2)
 
 
 def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
@@ -111,5 +114,8 @@ def trace_distance(a, b) -> float:
     for name, mat in (("a", am), ("b", bm)):
         if not hermiticity_defect(mat) <= HERMITIAN_ATOL:
             raise NotHermitianError(f"{name} is not Hermitian within {HERMITIAN_ATOL:.0e}")
-    vals, _ = herm_eig(am - bm)
-    return float(0.5 * np.sum(np.abs(vals)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        distance = 0.5 * float(np.sum(np.abs(herm_eig(am - bm)[0])))
+    if not distance < np.inf:
+        raise NumericalFailureError("trace distance overflows: the entries of a - b are too large")
+    return distance

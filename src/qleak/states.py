@@ -34,9 +34,9 @@ CHANNEL_ATOL = 1e-9      # trace-preservation tolerance for Kraus sets
 # "local" on each of its qubits.
 NOISE_KINDS = ("global", "local")
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+# The single-qubit Pauli stack (I, X, Y, Z).
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=np.complex128)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -60,7 +60,10 @@ class DensityOperator:
         eigs = np.linalg.eigvalsh(mat)
         if not eigs[0] >= -DENSITY_ATOL:
             raise NotPsdError(f"density operator eigenvalue {eigs[0]:.3e} is negative")
-        tr = float(mat.trace().real)
+        with np.errstate(over="ignore"):
+            tr = float(mat.trace().real)
+        if tr == np.inf:
+            raise NumericalFailureError("density operator entries overflow: the trace is inf")
         if not abs(tr - 1.0) <= DENSITY_ATOL:
             raise NumericalFailureError(f"density operator trace {tr} is not 1")
         self.matrix = _frozen(mat)
@@ -69,13 +72,19 @@ class DensityOperator:
     @classmethod
     def from_pure(cls, amplitudes, normalize: bool = False) -> "DensityOperator":
         """Rank-one projector |psi><psi| from a state vector."""
-        vec = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-        norm = np.linalg.norm(vec)
+        vec = linalg.as_cmatrix(np.reshape(amplitudes, (1, -1)), "state vector")[0]
         if normalize:
+            # Scaling the largest entry into [1, 2) by a power of two is exact
+            # and keeps the norm from overflowing or underflowing.
+            exponent = np.frexp(np.max(np.abs([vec.real, vec.imag]), initial=0.0))[1]
+            vec = vec * np.ldexp(1.0, min(1 - int(exponent), 1023))
+            norm = np.linalg.norm(vec)
             if norm == 0:
                 raise NumericalFailureError("cannot normalize the zero vector")
             vec = vec / norm
-        return cls(np.outer(vec, vec.conj()))
+        with np.errstate(over="ignore", invalid="ignore"):  # Inf entries fail in cls
+            projector = np.outer(vec, vec.conj())
+        return cls(projector)
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "DensityOperator":
@@ -148,11 +157,8 @@ class Ensemble:
 
     def transform(self, channel: "KrausChannel") -> "Ensemble":
         """Apply a quantum channel to every state, keeping labels and priors."""
-        return Ensemble(
-            self.symbols,
-            [apply_channel(channel, s) for s in self.states],
-            self.priors,
-        )
+        mapped = _kraus_map(channel, self.state_stack())
+        return Ensemble(self.symbols, [DensityOperator(m) for m in mapped], self.priors)
 
     def is_indistinguishable(self, atol: float = 1e-9) -> bool:
         """True when all states agree entrywise within atol."""
@@ -188,7 +194,8 @@ class Povm:
                 raise NotPsdError(f"POVM element {i} has eigenvalue {low:.3e}")
         # Completeness is checked on the elements as given: the trimming
         # below drops the eigenvalues in [-POVM_ATOL, 0) that pass above.
-        _check_completeness(stack.sum(axis=0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _check_completeness(stack.sum(axis=0), "sum of POVM elements")
         # Keep each element's eigenpairs above d * eps * lambda_max and pad
         # with zero columns up to the largest rank r; the ascent maps a zero
         # column to zero, so padding never changes the iterate.
@@ -206,7 +213,9 @@ class Povm:
             raise DimensionMismatchError(f"POVM factors must have shape (m, d, r), got {h.shape}")
         if not np.all(np.isfinite(h)):
             raise NumericalFailureError("POVM factors contain NaN or Inf entries")
-        _check_completeness(np.tensordot(h, h.conj(), axes=([0, 2], [0, 2])))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _check_completeness(np.tensordot(h, h.conj(), axes=([0, 2], [0, 2])),
+                                "sum of H_y H_y^dag")
         povm = cls.__new__(cls)
         povm.factors = _frozen(h)
         return povm
@@ -235,13 +244,15 @@ class Povm:
         return f"Povm(m={len(self)}, dim={self.dim})"
 
 
-def _check_completeness(total: np.ndarray, atol: float = POVM_ATOL,
+def _check_completeness(total: np.ndarray, name: str, atol: float = POVM_ATOL,
                         error: type = NumericalFailureError):
-    """Raise ``error`` unless total (sum_y F_y of a POVM, or sum_j E_j^dag E_j
-    of a Kraus set) is the identity within atol in operator norm. That norm
-    bounds every later use: |tr(rho (total - I))| <= atol for a state rho, so
-    Born rows sum to 1 and channel outputs keep unit trace within atol. NaN
-    or overflow raises NumericalFailureError from the eigensolver."""
+    """Raise ``error`` unless total (``name``: sum_y F_y of a POVM, or
+    sum_j E_j^dag E_j of a Kraus set) is the identity within atol in operator
+    norm. That norm bounds every later use: |tr(rho (total - I))| <= atol for
+    a state rho, so Born rows sum to 1 and channel outputs keep unit trace
+    within atol. An entry that overflowed to Inf or NaN raises too."""
+    if not np.all(np.isfinite(total)):
+        raise error(f"{name} overflows")
     vals, _ = linalg.herm_eig(total - np.eye(len(total)))
     defect = max(-vals[0], vals[-1])
     if not defect <= atol:
@@ -249,25 +260,25 @@ def _check_completeness(total: np.ndarray, atol: float = POVM_ATOL,
 
 
 class KrausChannel:
-    """Quantum channel in Kraus form: rho -> sum_j E_j rho E_j^dag."""
+    """Quantum channel rho -> sum_j E_j rho E_j^dag, stored as one frozen
+    stack ``kraus_ops`` of shape (n, d_out, d_in)."""
 
     def __init__(self, kraus_ops: Iterable):
         ops = [linalg.as_cmatrix(e, f"Kraus operator {j}") for j, e in enumerate(kraus_ops)]
         if not ops:
             raise InvalidChannelError("channel needs at least one Kraus operator")
-        dim_out, dim_in = ops[0].shape
         for j, op in enumerate(ops):
-            if op.shape != (dim_out, dim_in):
+            if op.shape != ops[0].shape:
                 raise DimensionMismatchError(f"Kraus operator {j} has shape {op.shape}")
-        _check_completeness(sum(op.conj().T @ op for op in ops), CHANNEL_ATOL,
-                            InvalidChannelError)
-        self.kraus_ops = tuple(_frozen(op) for op in ops)
-        self.dim_in = dim_in
-        self.dim_out = dim_out
-
-    @classmethod
-    def identity(cls, dim: int) -> "KrausChannel":
-        return cls([np.eye(dim)])
+        self.kraus_ops = _frozen(ops)
+        self.dim_out, self.dim_in = ops[0].shape
+        # sum_j E_j^dag E_j as one real product of the rows a + ib of all
+        # operators, a^T a + b^T b + i (a^T b - b^T a): no conjugated copy.
+        rows = self.kraus_ops.reshape(-1, self.dim_in).view(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = (rows.T @ rows).reshape(self.dim_in, 2, self.dim_in, 2)
+            total = g[:, 0, :, 0] + g[:, 1, :, 1] + 1j * (g[:, 0, :, 1] - g[:, 1, :, 0])
+            _check_completeness(total, "sum of E_j^dag E_j", CHANNEL_ATOL, InvalidChannelError)
 
     def __repr__(self) -> str:
         return f"KrausChannel({self.dim_in}->{self.dim_out}, {len(self.kraus_ops)} ops)"
@@ -295,16 +306,22 @@ def born_distribution(ensemble: Ensemble, povm: Povm) -> np.ndarray:
     return np.clip(traces.real, 0.0, 1.0)
 
 
+def _kraus_map(channel: KrausChannel, stack: np.ndarray) -> np.ndarray:
+    """sum_j E_j rho E_j^dag for every rho of a (|X|, d, d) stack, one
+    operator at a time (never an (|X|, n, d, d) intermediate)."""
+    if channel.dim_in != stack.shape[-1]:
+        raise DimensionMismatchError(
+            f"channel expects dim {channel.dim_in}, state has dim {stack.shape[-1]}"
+        )
+    out = np.zeros((len(stack), channel.dim_out, channel.dim_out), dtype=np.complex128)
+    for op in channel.kraus_ops:
+        out += op @ stack @ op.conj().T
+    return out
+
+
 def apply_channel(channel: KrausChannel, rho: DensityOperator) -> DensityOperator:
     """Push a density operator through a channel: sum_j E_j rho E_j^dag."""
-    if channel.dim_in != rho.dim:
-        raise DimensionMismatchError(
-            f"channel expects dim {channel.dim_in}, state has dim {rho.dim}"
-        )
-    out = np.zeros((channel.dim_out, channel.dim_out), dtype=np.complex128)
-    for op in channel.kraus_ops:
-        out += op @ rho.matrix @ op.conj().T
-    return DensityOperator(out)
+    return DensityOperator(_kraus_map(channel, rho.matrix[None])[0])
 
 
 def _check_probability(p: float) -> float:
@@ -321,14 +338,10 @@ def depolarizing_global(p: float, dim: int) -> KrausChannel:
     only the action is contractual, not this particular Kraus set.
     """
     p = _check_probability(p)
-    ops = [np.sqrt(1.0 - p) * np.eye(dim)]
-    if p > 0.0:
-        scale = np.sqrt(p / dim)
-        for i in range(dim):
-            for j in range(dim):
-                op = np.zeros((dim, dim))
-                op[i, j] = scale
-                ops.append(op)
+    ops = np.zeros((1 + dim * dim if p > 0.0 else 1, dim, dim), dtype=np.complex128)
+    ops[0] = np.sqrt(1.0 - p) * np.eye(dim)
+    if p > 0.0:  # operator 1 + i*d + j is sqrt(p/d) |i><j|: the diagonal of ops[1:]
+        np.fill_diagonal(ops[1:].reshape(dim * dim, dim * dim), np.sqrt(p / dim))
     return KrausChannel(ops)
 
 
@@ -346,20 +359,11 @@ def depolarizing_local(p: float, qubits: int) -> KrausChannel:
         raise DimensionOverflowError(
             f"local depolarizing on {qubits} qubits needs 4^{qubits} Kraus operators"
         )
-    single = [
-        np.sqrt(1.0 - 0.75 * p) * np.eye(2),
-        np.sqrt(p / 4.0) * PAULI_X,
-        np.sqrt(p / 4.0) * PAULI_Y,
-        np.sqrt(p / 4.0) * PAULI_Z,
-    ]
-    ops = []
-    for combo in itertools.product(single, repeat=qubits):
-        op = combo[0]
-        for factor in combo[1:]:
-            op = np.kron(op, factor)
-        ops.append(op)
-    # Zero-weight operators (p = 0 or p = 4/3 edge) contribute nothing.
-    ops = [op for op in ops if np.any(op)]
+    ops = single = np.sqrt([1.0 - 0.75 * p, p / 4.0, p / 4.0, p / 4.0])[:, None, None] * PAULIS
+    for k in range(2, qubits + 1):  # ops[a * 4 + b] = kron(ops[a], single[b])
+        ops = (ops[:, None, :, None, :, None] * single[None, :, None, :, None, :]
+               ).reshape(-1, 2 ** k, 2 ** k)
+    ops = ops[np.any(ops, axis=(1, 2))]  # drop the zero operators of p = 0
     return KrausChannel(ops)
 
 
@@ -440,4 +444,4 @@ def random_kraus_channel(dim: int, n_ops: int, seed: int) -> KrausChannel:
            + 1j * rng.standard_normal((n_ops, dim, dim))) / np.sqrt(2.0)
     total = np.einsum("jki,jkl->il", raw.conj(), raw)
     w = linalg.inv_sqrt_psd(total)
-    return KrausChannel([a @ w for a in raw])
+    return KrausChannel(raw @ w)

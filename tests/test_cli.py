@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -225,16 +226,42 @@ class TestVerify:
         assert manifest["config"]["channel_sha256"] == \
             hashlib.sha256(chan.read_bytes()).hexdigest()
 
-    def test_failed_check_exits_5(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("name, check, replacement", [
         # I(X;Y) of 2 bits exceeds the 1-bit objective of any index2 POVM.
-        monkeypatch.setattr(leakage, "mutual_information", lambda e, f: 2.0)
+        ("mutual_information", "povm_dominance", lambda e, f: 2.0),
+        # 5 bits exceed index2's 1-bit ceiling; only the check compares them.
+        ("_bits", "ceiling", lambda objective: 5.0),
+    ], ids=["povm_dominance", "ceiling"])
+    def test_failed_check_exits_5(self, monkeypatch, capsys, name, check, replacement):
+        monkeypatch.setattr(leakage, name, replacement)
         code = main(["verify", "--ensemble", "builtin:index2",
                      "--restarts", "2", "--max-iters", "1000"])
         assert code == 5
         printed = capsys.readouterr().out
-        assert any(line.startswith("povm_dominance") and "FAIL" in line
+        assert any(line.startswith(check) and "FAIL" in line
                    for line in printed.splitlines())
         assert "FAILURES detected" in printed
+
+    @pytest.mark.parametrize("inputs, spec, named", [
+        (["--ensemble", "{}"],
+         {"dimension": 2, "symbols": [{"label": "big", "state": {
+             "kind": "density_matrix", "rows": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]}}]},
+         "entries overflow"),
+        (["--ensemble", "builtin:index2", "--channel-file", "{}"],
+         {"kind": "kraus", "kraus_ops": [[[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+         "sum of E_j^dag E_j overflows"),
+    ], ids=["density_matrix", "kraus"])
+    def test_overflowing_entries_exit_2_without_warnings(self, tmp_path, capsys,
+                                                         inputs, spec, named):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(spec))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--restarts", "1"]
+                        + [arg.format(path) for arg in inputs]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Warning" not in err
 
     def test_dimension_one_passes_with_local_skip(self, tmp_path, capsys):
         assert main(["verify", "--ensemble", dimension_one_file(tmp_path),

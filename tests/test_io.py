@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -290,11 +291,29 @@ class TestSchemaFuzz:
             assert parse_channel_config(cfg, 2).dim_in == 2
 
     def test_overflowing_entry_rejected(self):
-        # 1e308 i on the diagonal overflows the asymmetry measure to NaN,
-        # which must fail the Hermiticity test rather than pass it.
+        # 1e308 i on the diagonal must fail the Hermiticity test: an asymmetry
+        # measure that overflowed to NaN would let it pass.
         cfg = replaced(FUZZ_ENSEMBLE, ("symbols", 2, "state", "rows", 0, 0, 1), 1e308)
         with pytest.raises(EnsembleConfigError, match="mixed"):
             parse_ensemble_config(cfg)
+
+    @pytest.mark.parametrize("cfg, path, value, valid", [
+        # Normalizing a finite vector with a 1e308 entry gives a valid state.
+        (FUZZ_ENSEMBLE, ("symbols", 1, "state", "amplitudes", 0, 0), 1e308, True),
+        (FUZZ_ENSEMBLE, ("symbols", 1, "state", "amplitudes", 0, 1), float("inf"), False),
+        (FUZZ_ENSEMBLE, ("symbols", 2, "state", "rows", 0, 1, 1), float("inf"), False),
+        (FUZZ_CHANNELS[2], ("kraus_ops", 0, 1, 0, 1), float("-inf"), False),
+    ], ids=["amplitude_1e308", "amplitude_inf", "density_inf", "kraus_inf"])
+    def test_extreme_entries_raise_no_warnings(self, cfg, path, value, valid):
+        parse = parse_ensemble_config if cfg is FUZZ_ENSEMBLE else \
+            (lambda c: parse_channel_config(c, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if valid:
+                parse(replaced(cfg, path, value))
+            else:
+                with pytest.raises(EnsembleConfigError):
+                    parse(replaced(cfg, path, value))
 
     @settings(max_examples=200, deadline=None)
     @given(path=st.sampled_from(list(field_paths(FUZZ_ENSEMBLE))), value=JSON_VALUES)

@@ -361,7 +361,7 @@ class TestVerifyProperties:
         from qleak import KrausChannel
         cfg = AscentConfig(restarts=4, max_iters=3000, seed=1)
         report = verify_properties(encode_index(4), cfg,
-                                   channel=KrausChannel.identity(4),
+                                   channel=KrausChannel([np.eye(4)]),
                                    noise_grid=(0.0, 0.3, 1.0))
         assert report.all_passed
         by_name = {c.name: c for c in report.checks}

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from qleak import inv_sqrt_psd, trace_distance
-from qleak.linalg import herm_eig
+from qleak.linalg import herm_eig, hermiticity_defect, hermitize
 from qleak.exceptions import (
     DimensionMismatchError,
     NonSquareError,
@@ -92,6 +94,29 @@ class TestInvSqrtPsd:
                 inv_sqrt_psd([[1e308, 1e308], [1e308, 1e308]])
 
 
+class TestHermitianHelpers:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hermitize_is_the_halved_sum(self, seed):
+        # Entries up to 1 are not rescaled, so the defect is bit-identical;
+        # larger entries are, which changes only the roundoff.
+        rng = np.random.default_rng(seed)
+        m = rng.uniform(-1, 1, (3, 4, 4)) + 1j * rng.uniform(-1, 1, (3, 4, 4))
+        assert np.array_equal(hermitize(m), (m + m.conj().swapaxes(1, 2)) / 2)
+        a, big = m[0], 1e3 * m[0]
+        assert hermiticity_defect(a) == (np.linalg.norm(a - a.conj().T)
+                                         / max(1.0, np.linalg.norm(a)))
+        assert hermiticity_defect(big) == pytest.approx(
+            np.linalg.norm(big - big.conj().T) / np.linalg.norm(big), rel=1e-15)
+
+    def test_entries_near_the_float_maximum(self):
+        m = np.array([[1e308, 1e308j], [-1e308j, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(hermitize(m), m)
+            assert hermiticity_defect(m) == 0.0
+            assert hermiticity_defect(np.diag([1e308j, 0.0])) == 2.0
+
+
 class TestTraceDistance:
     def test_self_distance(self):
         rng = np.random.default_rng(0)
@@ -123,6 +148,7 @@ class TestTraceDistance:
             trace_distance(np.eye(2), np.eye(3))
 
     def test_overflow_raises_instead_of_nan(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalFailureError):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="overflows"):
                 trace_distance([[0.5, 1e308], [1e308, 0.5]], np.eye(2) / 2)

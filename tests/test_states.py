@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,13 @@ class TestDensityOperator:
         rho = DensityOperator.from_pure([1, 1j], normalize=True)
         assert rho.dim == 2
         assert rho.matrix.trace().real == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e307, 1e-200, 5e-324])
+    def test_normalize_without_overflow_or_underflow(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = DensityOperator.from_pure([3 * scale, 4j * scale], normalize=True)
+        assert np.max(np.abs(rho.matrix - [[0.36, -0.48j], [0.48j, 0.64]])) <= 1e-15
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
@@ -157,6 +167,14 @@ class TestPovm:
         with pytest.raises(NumericalFailureError):
             Povm.from_factors(h)
 
+    def test_overflowing_element_rejected_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="completeness defect"):
+                Povm([np.diag([1e308, 0.0]), np.diag([0.0, 1.0])])
+            with pytest.raises(NumericalFailureError, match="sum of POVM elements overflows"):
+                Povm([np.diag([1e308, 0.0]), np.diag([1e308, 1.0])])
+
     def test_from_factors_rejects_bad_shape(self):
         with pytest.raises(DimensionMismatchError):
             Povm.from_factors(np.eye(2))
@@ -164,7 +182,7 @@ class TestPovm:
 
 class TestKrausChannel:
     def test_identity(self):
-        chan = KrausChannel.identity(3)
+        chan = KrausChannel([np.eye(3)])
         rho = DensityOperator.maximally_mixed(3)
         assert np.allclose(apply_channel(chan, rho).matrix, rho.matrix)
 
@@ -173,9 +191,39 @@ class TestKrausChannel:
             KrausChannel([np.eye(2) * 0.9])
 
     def test_dim_mismatch(self):
-        chan = KrausChannel.identity(2)
+        chan = KrausChannel([np.eye(2)])
         with pytest.raises(DimensionMismatchError):
             apply_channel(chan, DensityOperator.maximally_mixed(3))
+        with pytest.raises(DimensionMismatchError):
+            encode_index(3).transform(chan)
+
+    def test_kraus_ops_is_one_frozen_stack(self):
+        # An isometry from dim 2 into dim 3: one (1, 3, 2) stack.
+        chan = KrausChannel([np.eye(3)[:, :2]])
+        assert chan.kraus_ops.shape == (1, 3, 2)
+        assert (chan.dim_out, chan.dim_in) == (3, 2)
+        assert chan.kraus_ops.dtype == np.complex128
+        assert not chan.kraus_ops.flags.writeable
+        assert len(chan.kraus_ops) == 1
+        assert np.array_equal(chan.kraus_ops[0], next(iter(chan.kraus_ops)))
+        with pytest.raises(ValueError):
+            chan.kraus_ops[0, 0, 0] = 2.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_transform_matches_per_state_sum(self, seed):
+        # Exact equality with sum_j E_j rho E_j^dag taken one state at a time.
+        rng = np.random.default_rng(seed)
+        dim = 2 ** (1 + seed % 3)
+        e = Ensemble([f"s{i}" for i in range(3)],
+                     [random_density(dim, rng) for _ in range(3)])
+        for chan in (random_kraus_channel(dim, 1 + 2 * seed, seed),
+                     depolarizing_global(0.3, dim), depolarizing_local(0.3, qubit_count(dim))):
+            for rho, mapped in zip(e.states, e.transform(chan).states):
+                dense = np.zeros((dim, dim), dtype=np.complex128)
+                for op in chan.kraus_ops:
+                    dense += op @ rho.matrix @ op.conj().T
+                assert np.array_equal(mapped.matrix, DensityOperator(dense).matrix)
+                assert np.array_equal(apply_channel(chan, rho).matrix, mapped.matrix)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_channel_preserves_state_validity(self, seed):
@@ -259,6 +307,20 @@ class TestDepolarizingGlobal:
         with pytest.raises(InvalidProbabilityError):
             depolarizing_global(1.5, 2)
 
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("qubits", [1, 2, 3])
+    def test_kraus_stack_matches_reference(self, p, qubits):
+        # {sqrt(1-p) I}, then sqrt(p/d) |i><j| for i, j in row-major order.
+        dim = 2 ** qubits
+        ops = [np.sqrt(1.0 - p) * np.eye(dim)]
+        if p > 0.0:
+            for i in range(dim):
+                for j in range(dim):
+                    op = np.zeros((dim, dim))
+                    op[i, j] = np.sqrt(p / dim)
+                    ops.append(op)
+        assert np.array_equal(depolarizing_global(p, dim).kraus_ops, np.array(ops))
+
 
 class TestDepolarizingLocal:
     @pytest.mark.parametrize("p", [0.1, 0.5, 1.0])
@@ -296,6 +358,24 @@ class TestDepolarizingLocal:
         expected = np.kron(apply_channel(single, rho_a).matrix,
                            apply_channel(single, rho_b).matrix)
         assert np.max(np.abs(out.matrix - expected)) <= 1e-10
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("qubits", [1, 2, 3])
+    def test_kraus_stack_matches_reference(self, p, qubits):
+        # All kron products of the weighted single-qubit (I, X, Y, Z) set, the
+        # first qubit outermost, without the zero operators of p = 0.
+        paulis = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
+        weights = [np.sqrt(1.0 - 0.75 * p)] + [np.sqrt(p / 4.0)] * 3
+        single = [w * np.asarray(m, dtype=np.complex128) for w, m in zip(weights, paulis)]
+        ops = []
+        for combo in itertools.product(single, repeat=qubits):
+            op = combo[0]
+            for factor in combo[1:]:
+                op = np.kron(op, factor)
+            if np.any(op):
+                ops.append(op)
+        assert len(ops) == (1 if p == 0.0 else 4 ** qubits)
+        assert np.array_equal(depolarizing_local(p, qubits).kraus_ops, np.array(ops))
 
     def test_qubit_cap(self):
         with pytest.raises(DimensionOverflowError):
