@@ -31,7 +31,6 @@ from .exceptions import (
     DimensionOverflowError,
     EnsembleConfigError,
     InvalidChannelError,
-    InvalidProbabilityError,
     NotPsdError,
     NumericalFailureError,
     QLeakError,
@@ -43,7 +42,7 @@ from .leakage import (
     noise_curve,
     verify_properties,
 )
-from .states import NOISE_KINDS, qubit_count
+from .states import NOISE_KINDS, Ensemble, qubit_count
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -66,11 +65,6 @@ def _ascent_flags(parser: argparse.ArgumentParser):
                             default=f.default, help=ASCENT_HELP.get(f.name))
 
 
-def _config_from_args(args) -> AscentConfig:
-    return AscentConfig(**{f.name: getattr(args, f.name)
-                           for f in dataclasses.fields(AscentConfig)})
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qleak",
@@ -88,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
                               f"{', '.join('builtin:' + n for n in builtin_names())}")
     _ascent_flags(compute)
     compute.add_argument("--out", required=True, help="output directory")
+    compute.set_defaults(run=_cmd_compute)
 
     sweep = sub.add_parser(
         "noise-sweep", help="leakage vs depolarizing noise strength",
@@ -101,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--p-steps", type=int, default=21)
     _ascent_flags(sweep)
     sweep.add_argument("--out", required=True, help="output directory")
+    sweep.set_defaults(run=_cmd_noise_sweep)
 
     verify = sub.add_parser(
         "verify", help="run the structural property checks",
@@ -113,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     _ascent_flags(verify)
     verify.add_argument("--out", default=None,
                         help="optional directory for the JSON report")
+    verify.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -131,64 +128,80 @@ def _environment() -> dict:
     }
 
 
-def _manifest(command: str, cfg: AscentConfig, dim: int,
-              input_path: str, input_sha256: str, wall_seconds: float,
-              extra: dict | None = None) -> dict:
-    config = dataclasses.asdict(cfg)
-    config["povm_size"] = dim * dim  # outcomes of every restart's POVM
-    if extra:
+@dataclasses.dataclass
+class _Run:
+    """What every command shares: its arguments, the resolved ensemble with
+    its sha256, the ascent configuration and the clock of the solve."""
+
+    args: argparse.Namespace
+    ensemble: Ensemble
+    digest: str
+    cfg: AscentConfig
+    started: float = 0.0
+
+    def start(self) -> Path | None:
+        """Create the output directory, if --out names one, and start the
+        clock: a command calls this once its inputs are valid, before any
+        solve."""
+        out = None if self.args.out is None else Path(self.args.out)
+        if out is not None:
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise OSError(f"cannot create output directory {self.args.out!r}: "
+                              f"{exc.strerror or exc}") from exc
+        self.started = time.perf_counter()
+        return out
+
+    def manifest(self, **extra) -> dict:
+        """The provenance of a run; extra keys join the config."""
+        wall = time.perf_counter() - self.started
+        config = dataclasses.asdict(self.cfg)
+        config["povm_size"] = self.ensemble.dim ** 2  # outcomes of every restart's POVM
         config.update(extra)
-    return {
-        "command": command,
-        "config": config,
-        "environment": _environment(),
-        "input_path": input_path,
-        "input_sha256": input_sha256,
-        "tool_version": __version__,
-        "timings": {
-            "started_utc": datetime.now(timezone.utc).isoformat(),
-            "wall_seconds": round(wall_seconds, 6),
-        },
-    }
+        return {
+            "command": self.args.command,
+            "config": config,
+            "environment": _environment(),
+            "input_path": self.args.ensemble,
+            "input_sha256": self.digest,
+            "tool_version": __version__,
+            "timings": {
+                "started_utc": datetime.now(timezone.utc).isoformat(),
+                "wall_seconds": round(wall, 6),
+            },
+        }
 
 
-def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_json(path: Path, payload: dict, manifest: dict):
+    path.write_text(json.dumps({**payload, "manifest": manifest},
+                               indent=2, sort_keys=True) + "\n")
 
 
-def _write_trace_csv(path: Path, trace, manifest: dict):
+def _write_csv(path: Path, manifest: dict, header: list[str], rows):
     with path.open("w", newline="") as fh:
         fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "objective", "leakage_bits", "step_size"])
-        writer.writerows(trace.rows())
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _cmd_compute(args) -> int:
-    ensemble, digest = resolve_ensemble(args.ensemble)
-    cfg = _config_from_args(args)
-    started = time.perf_counter()
-    report = compute_leakage(ensemble, cfg)
-    wall = time.perf_counter() - started
-
-    manifest = _manifest("compute", cfg, ensemble.dim,
-                         args.ensemble, digest, wall)
-    best_trace = report.traces[report.best_restart]
-    result = {
+def _cmd_compute(run: _Run) -> int:
+    out = run.start()
+    report = compute_leakage(run.ensemble, run.cfg)
+    manifest = run.manifest()
+    _write_json(out / "result.json", {
         "leakage_bits": report.leakage_bits,
-        "objective": best_trace.objectives[-1],
+        "objective": report.traces[report.best_restart].objectives[-1],
         "ceiling_bits": report.ceiling_bits,
         "best_restart": report.best_restart,
         "restart_leakages": report.restart_leakages,
         "converged": report.converged_flags,
         "optimal_povm": [matrix_to_pairs(el) for el in report.optimal_povm],
-        "manifest": manifest,
-    }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "result.json", result)
+    }, manifest)
     for i, trace in enumerate(report.traces):
-        _write_trace_csv(out / f"trace_restart_{i:02d}.csv", trace, manifest)
+        _write_csv(out / f"trace_restart_{i:02d}.csv", manifest,
+                   ["iteration", "objective", "leakage_bits", "step_size"], trace.rows())
     converged = sum(report.converged_flags)
     print(f"leakage_bits={report.leakage_bits:.6f} "
           f"(ceiling {report.ceiling_bits:.6f}), "
@@ -197,9 +210,8 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _cmd_noise_sweep(args) -> int:
-    ensemble, digest = resolve_ensemble(args.ensemble)
-    cfg = _config_from_args(args)
+def _cmd_noise_sweep(run: _Run) -> int:
+    args = run.args
     if not (0.0 <= args.p_start <= args.p_end <= 1.0):
         raise EnsembleConfigError(
             f"invalid p grid: need 0 <= p_start <= p_end <= 1, "
@@ -208,65 +220,36 @@ def _cmd_noise_sweep(args) -> int:
     if args.p_steps < 2:
         raise EnsembleConfigError("p grid needs at least 2 points")
     if args.channel == "local":
-        qubit_count(ensemble.dim)  # reject the dimension before any solve
+        qubit_count(run.ensemble.dim)  # reject the dimension before any solve
 
-    started = time.perf_counter()
-    q0 = compute_leakage(ensemble, cfg).leakage_bits
+    out = run.start()
+    q0 = compute_leakage(run.ensemble, run.cfg).leakage_bits
     grid = np.linspace(args.p_start, args.p_end, args.p_steps)
     rows = [(p, direct, formula, direct / q0 if q0 > 1e-12 else 1.0)
-            for p, direct, formula in noise_curve(ensemble, args.channel, grid, cfg, q0)]
-    wall = time.perf_counter() - started
-
-    manifest = _manifest(
-        "noise-sweep", cfg, ensemble.dim,
-        args.ensemble, digest, wall,
-        extra={"channel": args.channel, "p_start": args.p_start,
-               "p_end": args.p_end, "p_steps": args.p_steps,
-               "noiseless_leakage_bits": q0},
-    )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+            for p, direct, formula in noise_curve(run.ensemble, args.channel, grid, run.cfg, q0)]
+    manifest = run.manifest(channel=args.channel, p_start=args.p_start, p_end=args.p_end,
+                            p_steps=args.p_steps, noiseless_leakage_bits=q0)
     path = out / "noise_sweep.csv"
-    with path.open("w", newline="") as fh:
-        fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["p", "direct_leakage_bits", "formula_bits", "ratio"])
-        writer.writerows(rows)
+    _write_csv(path, manifest, ["p", "direct_leakage_bits", "formula_bits", "ratio"], rows)
     print(f"noiseless leakage_bits={q0:.6f}, {len(rows)} grid points -> {path}")
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    ensemble, digest = resolve_ensemble(args.ensemble)
-    cfg = _config_from_args(args)
-    channel = None
-    channel_sha = None
-    if args.channel_file:
-        channel, channel_sha = load_channel(args.channel_file, ensemble.dim)
+def _cmd_verify(run: _Run) -> int:
+    channel = channel_sha = None
+    if run.args.channel_file:
+        channel, channel_sha = load_channel(run.args.channel_file, run.ensemble.dim)
 
-    started = time.perf_counter()
-    report = verify_properties(ensemble, cfg, channel=channel)
-    wall = time.perf_counter() - started
-
+    out = run.start()
+    report = verify_properties(run.ensemble, run.cfg, channel=channel)
+    if out is not None:
+        _write_json(out / "verify_report.json", report.as_dict(), run.manifest(
+            channel_file=run.args.channel_file, channel_sha256=channel_sha))
     width = max(len(c.name) for c in report.checks)
     for check in report.checks:
         status = "SKIP" if check.skipped else ("PASS" if check.passed else "FAIL")
         print(f"{check.name:<{width}}  {status:<4}  {check.detail}")
-    verdict = "all checks passed" if report.all_passed else "FAILURES detected"
-    print(verdict)
-
-    if args.out:
-        manifest = _manifest(
-            "verify", cfg, ensemble.dim,
-            args.ensemble, digest, wall,
-            extra={"channel_file": args.channel_file,
-                   "channel_sha256": channel_sha},
-        )
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        payload = report.as_dict()
-        payload["manifest"] = manifest
-        _write_json(out / "verify_report.json", payload)
+    print("all checks passed" if report.all_passed else "FAILURES detected")
     return EXIT_OK if report.all_passed else EXIT_PROPERTY
 
 
@@ -276,21 +259,18 @@ def _exit_code(exc: Exception) -> int:
     if isinstance(exc, (NumericalFailureError, NotPsdError, InvalidChannelError,
                         np.linalg.LinAlgError)):
         return EXIT_NUMERICAL
-    if isinstance(exc, (EnsembleConfigError, InvalidProbabilityError, QLeakError,
-                        ValueError, OSError)):
+    if isinstance(exc, (QLeakError, ValueError, OSError)):
         return EXIT_INPUT
     raise exc
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "compute": _cmd_compute,
-        "noise-sweep": _cmd_noise_sweep,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        ensemble, digest = resolve_ensemble(args.ensemble)
+        cfg = AscentConfig(**{f.name: getattr(args, f.name)
+                              for f in dataclasses.fields(AscentConfig)})
+        return args.run(_Run(args, ensemble, digest, cfg))
     except Exception as exc:  # noqa: BLE001 - mapped to the exit-code contract
         code = _exit_code(exc)
         print(f"error: {exc}", file=sys.stderr)

@@ -70,27 +70,18 @@ def matrix_to_pairs(matrix: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
 
 
-def pairs_to_matrix(rows, context: str) -> np.ndarray:
-    """Nested [re, im] pairs -> complex matrix, with shape validation; the
-    pairs are reinterpreted, not multiplied, so Inf entries raise no warning."""
-    _require_numbers(rows, context)
-    try:
-        arr = np.asarray(rows, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise EnsembleConfigError(f"{context}: entries must be [re, im] pairs") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise EnsembleConfigError(f"{context}: expected a matrix of [re, im] pairs")
-    return np.ascontiguousarray(arr).view(np.complex128)[..., 0]
-
-
-def pairs_to_vector(entries, context: str) -> np.ndarray:
+def pairs_to_array(entries, rank: int, context: str) -> np.ndarray:
+    """Nested [re, im] pairs -> complex vector (rank 1) or matrix (rank 2),
+    with shape validation; the pairs are reinterpreted, not multiplied, so
+    Inf entries raise no warning."""
     _require_numbers(entries, context)
     try:
         arr = np.asarray(entries, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise EnsembleConfigError(f"{context}: entries must be [re, im] pairs") from exc
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise EnsembleConfigError(f"{context}: expected a list of [re, im] pairs")
+    if arr.ndim != rank + 1 or arr.shape[-1] != 2:
+        shape = "list" if rank == 1 else "matrix"
+        raise EnsembleConfigError(f"{context}: expected a {shape} of [re, im] pairs")
     return np.ascontiguousarray(arr).view(np.complex128)[..., 0]
 
 
@@ -108,7 +99,7 @@ def _parse_state(spec, dim: int, label: str) -> DensityOperator:
                 )
             return DensityOperator.basis_state(dim, index)
         if kind == "pure_vector":
-            vec = pairs_to_vector(spec.get("amplitudes"), context)
+            vec = pairs_to_array(spec.get("amplitudes"), 1, context)
             if vec.shape[0] != dim:
                 raise EnsembleConfigError(
                     f"{context}: amplitude vector has length {vec.shape[0]}, expected {dim}"
@@ -120,7 +111,7 @@ def _parse_state(spec, dim: int, label: str) -> DensityOperator:
                 )
             return DensityOperator.from_pure(vec, normalize=normalize)
         if kind == "density_matrix":
-            mat = pairs_to_matrix(spec.get("rows"), context)
+            mat = pairs_to_array(spec.get("rows"), 2, context)
             if mat.shape != (dim, dim):
                 raise EnsembleConfigError(
                     f"{context}: matrix has shape {mat.shape}, expected ({dim}, {dim})"
@@ -151,8 +142,6 @@ def parse_ensemble_config(cfg) -> Ensemble:
         label = entry["label"]
         if not isinstance(label, str):
             raise EnsembleConfigError(f"symbol #{i}: 'label' must be a string, got {label!r}")
-        if label in labels:
-            raise EnsembleConfigError(f"symbol {label!r}: duplicate label")
         labels.append(label)
         if "prior" in entry:
             prior = entry["prior"]
@@ -251,12 +240,15 @@ def parse_channel_config(cfg, dim: int) -> KrausChannel:
         raise EnsembleConfigError("channel config must be an object with a 'kind'")
     kind = cfg["kind"]
     if kind in NOISE_KINDS:
-        return depolarizing(kind, _channel_p(cfg), dim)
+        p = cfg.get("p")
+        if not _is_number(p):
+            raise EnsembleConfigError(f"channel 'p' must be a number, got {p!r}")
+        return depolarizing(kind, float(p), dim)
     if kind == "kraus":
         ops_cfg = cfg.get("kraus_ops")
         if not isinstance(ops_cfg, list) or not ops_cfg:
             raise EnsembleConfigError("kraus channel needs a non-empty 'kraus_ops' list")
-        ops = [pairs_to_matrix(op, f"kraus_ops[{j}]") for j, op in enumerate(ops_cfg)]
+        ops = [pairs_to_array(op, 2, f"kraus_ops[{j}]") for j, op in enumerate(ops_cfg)]
         try:
             channel = KrausChannel(ops)
         except QLeakError as exc:
@@ -267,13 +259,6 @@ def parse_channel_config(cfg, dim: int) -> KrausChannel:
             )
         return channel
     raise EnsembleConfigError(f"unknown channel kind {kind!r}")
-
-
-def _channel_p(cfg) -> float:
-    p = cfg.get("p")
-    if not _is_number(p):
-        raise EnsembleConfigError(f"channel 'p' must be a number, got {p!r}")
-    return float(p)
 
 
 def load_channel(path: str, dim: int) -> tuple[KrausChannel, str]:

@@ -1,9 +1,12 @@
 """Complex-matrix kernel: Hermitian eigendecomposition, PSD inverse square
 roots and the trace metric.
 
-Everything downstream (states, channels, the ascent loop) funnels its linear
-algebra through these functions, so the tolerances live here in one place.
-All functions are pure; inputs are never modified.
+The ascent loop and the trace metric go through these functions, which hold
+the kernel tolerances HERMITIAN_ATOL and PSD_EIG_FLOOR. The validation
+tolerances of states, POVMs and channels (DENSITY_ATOL, POVM_ATOL,
+CHANNEL_ATOL) live in `states`, whose DensityOperator and Povm constructors
+call numpy's eigensolvers directly; every constructor there coerces its
+input through `as_cmatrix`. All functions are pure; inputs are never modified.
 """
 
 from __future__ import annotations
@@ -28,10 +31,11 @@ PSD_EIG_FLOOR = -1e-9
 
 
 def as_cmatrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D complex128 array and reject non-finite entries."""
+    """Coerce to a 2-D complex128 array; reject an empty axis and non-finite
+    entries."""
     arr = np.asarray(m, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise DimensionMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise DimensionMismatchError(f"{name} must be 2-D and non-empty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise NumericalFailureError(f"{name} contains NaN or Inf entries")
     return arr
@@ -111,6 +115,8 @@ def trace_distance(a, b) -> float:
     bm = as_cmatrix(b, "b")
     if am.shape != bm.shape:
         raise DimensionMismatchError(f"shape mismatch {am.shape} vs {bm.shape}")
+    if am.shape[0] != am.shape[1]:
+        raise NonSquareError(f"expected square matrices, got shape {am.shape}")
     for name, mat in (("a", am), ("b", bm)):
         if not hermiticity_defect(mat) <= HERMITIAN_ATOL:
             raise NotHermitianError(f"{name} is not Hermitian within {HERMITIAN_ATOL:.0e}")

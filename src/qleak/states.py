@@ -110,7 +110,7 @@ class Ensemble:
     Parameters
     ----------
     symbols : sequence of str
-        Labels of the secret alphabet, in order.
+        Labels of the secret alphabet, in order; distinct as strings.
     states : sequence of DensityOperator
         One state per symbol, all of equal dimension.
     priors : sequence of float, optional
@@ -123,6 +123,9 @@ class Ensemble:
         self.states = tuple(states)
         if not self.symbols:
             raise DimensionMismatchError("ensemble needs at least one symbol")
+        if len(set(self.symbols)) < len(self.symbols):
+            label = next(s for i, s in enumerate(self.symbols) if s in self.symbols[:i])
+            raise DimensionMismatchError(f"duplicate symbol label {label!r}")
         if len(self.symbols) != len(self.states):
             raise DimensionMismatchError(
                 f"{len(self.symbols)} symbols but {len(self.states)} states"

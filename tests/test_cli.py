@@ -157,6 +157,7 @@ class TestNoiseSweep:
         assert main(["noise-sweep", "--ensemble", "builtin:index2",
                      "--channel", "global", "--p-steps", "1",
                      "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_dimension_one_global(self, tmp_path):
         out = tmp_path / "o"
@@ -176,6 +177,7 @@ class TestNoiseSweep:
         assert main(["noise-sweep", "--ensemble", dimension_one_file(tmp_path),
                      "--channel", "local", "--out", str(tmp_path / "o")]) == 4
         assert "k >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_local_requires_power_of_two(self, tmp_path):
         path = tmp_path / "d3.json"
@@ -183,6 +185,7 @@ class TestNoiseSweep:
         assert main(["noise-sweep", "--ensemble", str(path),
                      "--channel", "local", "--restarts", "2",
                      "--out", str(tmp_path / "o")]) == 4
+        assert not (tmp_path / "o").exists()
 
 
 class TestVerify:
@@ -255,13 +258,15 @@ class TestVerify:
                                                          inputs, spec, named):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(spec))
+        out = tmp_path / "report"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["verify", "--restarts", "1"]
+            assert main(["verify", "--restarts", "1", "--out", str(out)]
                         + [arg.format(path) for arg in inputs]) == 2
         err = capsys.readouterr().err
         assert named in err
         assert "Warning" not in err
+        assert not out.exists()
 
     def test_dimension_one_passes_with_local_skip(self, tmp_path, capsys):
         assert main(["verify", "--ensemble", dimension_one_file(tmp_path),
@@ -293,3 +298,25 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "np." not in err
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command", [
+        ["compute"],
+        ["noise-sweep", "--channel", "global"],
+        ["verify"],
+    ], ids=["compute", "noise-sweep", "verify"])
+    @pytest.mark.parametrize("inside", [False, True], ids=["file", "under_file"])
+    def test_uncreatable_out_exits_2_before_solving(self, tmp_path, monkeypatch,
+                                                    capsys, command, inside):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before creating the output directory")
+
+        for name in ("compute_leakage", "noise_curve", "verify_properties"):
+            monkeypatch.setattr(cli, name, no_solve)
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken / "sub" if inside else taken
+        assert main(command + ["--ensemble", "builtin:index2", "--out", str(out)]) == 2
+        assert f"cannot create output directory {str(out)!r}" in capsys.readouterr().err
+        assert taken.read_text() == "kept"

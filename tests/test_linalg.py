@@ -146,6 +146,8 @@ class TestTraceDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             trace_distance(np.eye(2), np.eye(3))
+        with pytest.raises(NonSquareError):
+            trace_distance(np.zeros((2, 3)), np.zeros((2, 3)))
 
     def test_overflow_raises_instead_of_nan(self):
         with warnings.catch_warnings():

@@ -19,6 +19,7 @@ from qleak import (
     random_kraus_channel,
     random_povm,
 )
+from qleak.linalg import herm_eig, inv_sqrt_psd
 from qleak.states import qubit_count
 from qleak.exceptions import (
     DimensionMismatchError,
@@ -36,6 +37,20 @@ from helpers import random_density, random_pure
 def affine_depolarize(rho, p, dim):
     """Independent oracle for the depolarizing action."""
     return (p / dim) * np.eye(dim) + (1 - p) * rho
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DensityOperator(np.zeros((0, 0))),
+    lambda: DensityOperator.from_pure([]),
+    lambda: Povm([np.zeros((0, 0))]),
+    lambda: KrausChannel([np.zeros((0, 0))]),
+    lambda: KrausChannel([np.zeros((2, 0))]),
+    lambda: herm_eig(np.zeros((0, 0))),
+    lambda: inv_sqrt_psd(np.zeros((0, 0))),
+], ids=["density", "pure", "povm", "kraus_0x0", "kraus_2x0", "herm_eig", "inv_sqrt_psd"])
+def test_empty_matrices_rejected(build):
+    with pytest.raises(DimensionMismatchError, match="non-empty"):
+        build()
 
 
 class TestDensityOperator:
@@ -86,6 +101,13 @@ class TestEnsemble:
         with pytest.raises(DimensionMismatchError):
             Ensemble(["a", "b"], [DensityOperator.maximally_mixed(2),
                                   DensityOperator.maximally_mixed(3)])
+
+    def test_duplicate_labels_rejected(self):
+        states = [DensityOperator.basis_state(2, i) for i in range(2)]
+        with pytest.raises(DimensionMismatchError, match="duplicate symbol label 'x'"):
+            Ensemble(["x", "x"], states)
+        with pytest.raises(DimensionMismatchError, match="'1'"):
+            Ensemble([1, "1"], states)  # labels are compared as strings
 
     def test_indistinguishable(self):
         rho = DensityOperator.maximally_mixed(2)
