@@ -139,19 +139,25 @@ class _Run:
     cfg: AscentConfig
     started: float = 0.0
 
-    def start(self) -> Path | None:
-        """Create the output directory, if --out names one, and start the
-        clock: a command calls this once its inputs are valid, before any
-        solve."""
-        out = None if self.args.out is None else Path(self.args.out)
-        if out is not None:
+    def start(self, *names: str) -> list[Path]:
+        """Create the output directory, if --out names one, check that each
+        of the files ``names`` in it can be opened for writing, and start
+        the clock: a command calls this once its inputs are valid, before
+        any solve. Returns the paths of the files (none without --out)."""
+        paths = []
+        if self.args.out is not None:
+            out = Path(self.args.out)
+            paths = [out / name for name in names]
+            step = f"create output directory {self.args.out!r}"
             try:
                 out.mkdir(parents=True, exist_ok=True)
+                for path in paths:
+                    step = f"write output file {str(path)!r}"
+                    path.open("a").close()  # append mode: nothing is truncated
             except OSError as exc:
-                raise OSError(f"cannot create output directory {self.args.out!r}: "
-                              f"{exc.strerror or exc}") from exc
+                raise OSError(f"cannot {step}: {exc.strerror or exc}") from exc
         self.started = time.perf_counter()
-        return out
+        return paths
 
     def manifest(self, **extra) -> dict:
         """The provenance of a run; extra keys join the config."""
@@ -187,10 +193,11 @@ def _write_csv(path: Path, manifest: dict, header: list[str], rows):
 
 
 def _cmd_compute(run: _Run) -> int:
-    out = run.start()
+    result_path, *trace_paths = run.start(
+        "result.json", *(f"trace_restart_{i:02d}.csv" for i in range(run.cfg.restarts)))
     report = compute_leakage(run.ensemble, run.cfg)
     manifest = run.manifest()
-    _write_json(out / "result.json", {
+    _write_json(result_path, {
         "leakage_bits": report.leakage_bits,
         "objective": report.traces[report.best_restart].objectives[-1],
         "ceiling_bits": report.ceiling_bits,
@@ -199,14 +206,14 @@ def _cmd_compute(run: _Run) -> int:
         "converged": report.converged_flags,
         "optimal_povm": [matrix_to_pairs(el) for el in report.optimal_povm],
     }, manifest)
-    for i, trace in enumerate(report.traces):
-        _write_csv(out / f"trace_restart_{i:02d}.csv", manifest,
+    for path, trace in zip(trace_paths, report.traces):
+        _write_csv(path, manifest,
                    ["iteration", "objective", "leakage_bits", "step_size"], trace.rows())
     converged = sum(report.converged_flags)
     print(f"leakage_bits={report.leakage_bits:.6f} "
           f"(ceiling {report.ceiling_bits:.6f}), "
           f"{converged}/{len(report.traces)} restarts converged "
-          f"-> {out / 'result.json'}")
+          f"-> {result_path}")
     return EXIT_OK
 
 
@@ -222,14 +229,13 @@ def _cmd_noise_sweep(run: _Run) -> int:
     if args.channel == "local":
         qubit_count(run.ensemble.dim)  # reject the dimension before any solve
 
-    out = run.start()
+    (path,) = run.start("noise_sweep.csv")
     q0 = compute_leakage(run.ensemble, run.cfg).leakage_bits
     grid = np.linspace(args.p_start, args.p_end, args.p_steps)
     rows = [(p, direct, formula, direct / q0 if q0 > 1e-12 else 1.0)
             for p, direct, formula in noise_curve(run.ensemble, args.channel, grid, run.cfg, q0)]
     manifest = run.manifest(channel=args.channel, p_start=args.p_start, p_end=args.p_end,
                             p_steps=args.p_steps, noiseless_leakage_bits=q0)
-    path = out / "noise_sweep.csv"
     _write_csv(path, manifest, ["p", "direct_leakage_bits", "formula_bits", "ratio"], rows)
     print(f"noiseless leakage_bits={q0:.6f}, {len(rows)} grid points -> {path}")
     return EXIT_OK
@@ -240,10 +246,10 @@ def _cmd_verify(run: _Run) -> int:
     if run.args.channel_file:
         channel, channel_sha = load_channel(run.args.channel_file, run.ensemble.dim)
 
-    out = run.start()
+    paths = run.start("verify_report.json")
     report = verify_properties(run.ensemble, run.cfg, channel=channel)
-    if out is not None:
-        _write_json(out / "verify_report.json", report.as_dict(), run.manifest(
+    for path in paths:
+        _write_json(path, report.as_dict(), run.manifest(
             channel_file=run.args.channel_file, channel_sha256=channel_sha))
     width = max(len(c.name) for c in report.checks)
     for check in report.checks:

@@ -77,8 +77,10 @@ class AscentConfig:
         if not 0.0 < self.eps < math.inf:
             raise ValueError(f"termination threshold {self.eps} must be finite "
                              "and positive")
-        if self.max_iters < 1 or self.restarts < 1:
-            raise ValueError("max_iters and restarts must be >= 1")
+        for name, low in (("max_iters", 1), ("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass
@@ -140,10 +142,6 @@ def leakage_objective(ensemble: Ensemble, povm: Povm):
         (ties resolved to the earliest symbol). The POVM's completeness
         check keeps the objective within [1, |X|] up to |X| * POVM_ATOL.
     """
-    if ensemble.dim != povm.dim:
-        raise DimensionMismatchError(
-            f"ensemble dim {ensemble.dim} != POVM dim {povm.dim}"
-        )
     traces = conditional_traces(ensemble.state_stack(), povm.factors).real
     objective = _stack_objective(traces)
     winners = [ensemble.symbols[i] for i in traces.argmax(axis=0)]
@@ -179,10 +177,6 @@ def ascent_step(ensemble: Ensemble, povm: Povm, mu: float) -> Povm:
     sums to the identity up to the whitening regularizer; elements of any
     rank are accepted.
     """
-    if ensemble.dim != povm.dim:
-        raise DimensionMismatchError(
-            f"ensemble dim {ensemble.dim} != POVM dim {povm.dim}"
-        )
     if mu <= 0.0:
         raise ValueError("step size must be positive")
     states = ensemble.state_stack()
@@ -268,31 +262,6 @@ def two_state_leakage(rho0: DensityOperator, rho1: DensityOperator) -> float:
     return math.log2(1.0 + linalg.trace_distance(rho0.matrix, rho1.matrix))
 
 
-def _sample_rank_one_objectives(states: np.ndarray, n_outcomes: int,
-                                n_samples: int, rng: np.random.Generator) -> float:
-    """Best objective over random rank-one POVMs of a given size (qubits)."""
-    g = (rng.standard_normal((n_samples, n_outcomes, 2))
-         + 1j * rng.standard_normal((n_samples, n_outcomes, 2))) / np.sqrt(2.0)
-    s = np.einsum("nyi,nyj->nij", g, g.conj())
-    tr = s[:, 0, 0].real + s[:, 1, 1].real
-    det = (s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]).real
-    root = np.sqrt(np.maximum(det, 0.0))
-    denom = root * np.sqrt(tr + 2.0 * root)
-    ok = denom > 1e-12
-    # closed-form 2x2 inverse square root: (adj(S) + sqrt(det) I) / denom
-    w = np.empty_like(s)
-    w[:, 0, 0] = s[:, 1, 1] + root
-    w[:, 1, 1] = s[:, 0, 0] + root
-    w[:, 0, 1] = -s[:, 0, 1]
-    w[:, 1, 0] = -s[:, 1, 0]
-    w[ok] /= denom[ok, None, None]
-    h = np.einsum("nij,nyj->nyi", w, g)
-    vals = np.einsum("nyi,xij,nyj->nxy", h.conj(), states, h).real
-    objectives = vals.max(axis=1).sum(axis=1)
-    objectives[~ok] = -np.inf
-    return float(objectives.max())
-
-
 def brute_force_leakage(ensemble: Ensemble, grid_resolution: int,
                         samples: int = 100_000, seed: int = 0) -> float:
     """Exhaustive qubit search over rank-one POVMs; a certified lower bound.
@@ -300,7 +269,8 @@ def brute_force_leakage(ensemble: Ensemble, grid_resolution: int,
     Binary projective measurements are swept over a full Bloch-sphere
     (theta, phi) grid of grid_resolution x 2*grid_resolution directions
     (poles included); three- and four-outcome rank-one POVMs are sampled
-    at random, ``samples`` draws each, from the given seed.
+    at random, ``samples`` draws each, from the given seed. Both searches
+    are scored by conditional_traces, the one trace kernel.
     """
     if ensemble.dim != 2:
         raise UnsupportedDimensionError("brute force search is qubit-only")
@@ -316,12 +286,27 @@ def brute_force_leakage(ensemble: Ensemble, grid_resolution: int,
          np.sin(tt / 2).ravel() * np.exp(1j * pp.ravel())],
         axis=1,
     )
-    up = np.einsum("si,xij,sj->xs", u.conj(), states, u).real  # tr(rho^x uu^dag)
+    # Outcome uu^dag scores tr(rho^x uu^dag); its complement 1 - tr(rho^x uu^dag).
+    up = conditional_traces(states, u[:, :, None]).real
     best = float((up.max(axis=0) + 1.0 - up.min(axis=0)).max())
 
     rng = np.random.default_rng(seed)
     for n_outcomes in (3, 4):
-        best = max(best, _sample_rank_one_objectives(states, n_outcomes, samples, rng))
+        g = (rng.standard_normal((samples, n_outcomes, 2))
+             + 1j * rng.standard_normal((samples, n_outcomes, 2))) / np.sqrt(2.0)
+        # Gram-Schmidt on the two columns of each draw, in place, gives an
+        # isometry Q (Q^dag Q = I) whose rows h_y satisfy sum_y h_y h_y^dag = I.
+        # Draws whose columns are nearly parallel (or zero) are skipped.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = g / np.linalg.norm(g, axis=1, keepdims=True)
+            a, c = h[:, :, 0], h[:, :, 1]
+            c -= a * np.sum(a.conj() * c, axis=1, keepdims=True)
+            c_norm = np.linalg.norm(c, axis=1, keepdims=True)
+            c /= c_norm
+        h = h[c_norm[:, 0] > 1e-4]
+        traces = conditional_traces(states, h.reshape(-1, 2, 1)).real
+        objectives = traces.reshape(len(states), len(h), n_outcomes).max(axis=0).sum(axis=1)
+        best = float(objectives.max(initial=best))
     return _bits(best)
 
 

@@ -71,8 +71,12 @@ class DensityOperator:
 
     @classmethod
     def from_pure(cls, amplitudes, normalize: bool = False) -> "DensityOperator":
-        """Rank-one projector |psi><psi| from a state vector."""
-        vec = linalg.as_cmatrix(np.reshape(amplitudes, (1, -1)), "state vector")[0]
+        """Rank-one projector |psi><psi| from a non-empty 1-D state vector."""
+        vec = np.asarray(amplitudes, dtype=np.complex128)
+        if vec.ndim != 1 or not vec.size:
+            raise DimensionMismatchError(
+                f"state vector must be 1-D and non-empty, got shape {vec.shape}")
+        vec = linalg.as_cmatrix(vec[None], "state vector")[0]  # rejects NaN and Inf
         if normalize:
             # Scaling the largest entry into [1, 2) by a power of two is exact
             # and keeps the norm from overflowing or underflowing.
@@ -289,7 +293,11 @@ class KrausChannel:
 
 def conditional_traces(states: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """tr(rho^x H_y H_y^dag) for a state stack (|X|, d, d) and POVM factors
-    (m, d, r), as a complex (|X|, m) array; the imaginary part is roundoff."""
+    (m, d, r), as a complex (|X|, m) array; the imaginary part is roundoff.
+    States and POVMs meet only here, so this is their one dimension check."""
+    if states.shape[2] != factors.shape[1]:
+        raise DimensionMismatchError(
+            f"ensemble dim {states.shape[2]} != POVM dim {factors.shape[1]}")
     products = np.tensordot(states, factors, axes=([2], [1]))  # (x, i, y, k)
     return (products * factors.conj().transpose(1, 0, 2)).sum(axis=(1, 3))
 
@@ -301,10 +309,6 @@ def born_distribution(ensemble: Ensemble, povm: Povm) -> np.ndarray:
     measuring state rho^x, clipped to [0, 1]; the POVM's completeness check
     bounds each row sum's distance from 1 by POVM_ATOL + DENSITY_ATOL.
     """
-    if ensemble.dim != povm.dim:
-        raise DimensionMismatchError(
-            f"ensemble dim {ensemble.dim} != POVM dim {povm.dim}"
-        )
     traces = conditional_traces(ensemble.state_stack(), povm.factors)
     return np.clip(traces.real, 0.0, 1.0)
 

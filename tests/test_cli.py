@@ -119,6 +119,17 @@ class TestCompute:
         assert "termination threshold" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--seed=-1", "seed must be an integer >= 0, got -1"),
+        ("--max-iters=0", "max_iters must be an integer >= 1, got 0"),
+    ], ids=["seed", "max_iters"])
+    def test_bad_integer_flag_exits_2_without_output(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "o"
+        assert main(["compute", "--ensemble", "builtin:index2", flag,
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestNoiseSweep:
     def test_index8_formula_column(self, tmp_path):
@@ -301,22 +312,31 @@ class TestVerify:
 
 
 class TestOutputDirectory:
-    @pytest.mark.parametrize("command", [
-        ["compute"],
-        ["noise-sweep", "--channel", "global"],
-        ["verify"],
+    @pytest.mark.parametrize("command, output", [
+        (["compute"], "result.json"),
+        (["noise-sweep", "--channel", "global"], "noise_sweep.csv"),
+        (["verify"], "verify_report.json"),
     ], ids=["compute", "noise-sweep", "verify"])
-    @pytest.mark.parametrize("inside", [False, True], ids=["file", "under_file"])
+    @pytest.mark.parametrize("blocked", ["file", "under_file", "output_file"])
     def test_uncreatable_out_exits_2_before_solving(self, tmp_path, monkeypatch,
-                                                    capsys, command, inside):
+                                                    capsys, command, output, blocked):
         def no_solve(*args, **kwargs):
-            raise AssertionError("solved before creating the output directory")
+            raise AssertionError("solved before checking the output files")
 
         for name in ("compute_leakage", "noise_curve", "verify_properties"):
             monkeypatch.setattr(cli, name, no_solve)
         taken = tmp_path / "taken"
-        taken.write_text("kept")
-        out = taken / "sub" if inside else taken
+        if blocked == "output_file":  # the directory exists, one file in it cannot be opened
+            out = taken
+            (out / output).mkdir(parents=True)
+            expected = f"cannot write output file {str(out / output)!r}"
+        else:
+            taken.write_text("kept")
+            out = taken / "sub" if blocked == "under_file" else taken
+            expected = f"cannot create output directory {str(out)!r}"
         assert main(command + ["--ensemble", "builtin:index2", "--out", str(out)]) == 2
-        assert f"cannot create output directory {str(out)!r}" in capsys.readouterr().err
-        assert taken.read_text() == "kept"
+        assert expected in capsys.readouterr().err
+        if blocked == "output_file":
+            assert (out / output).is_dir()
+        else:
+            assert taken.read_text() == "kept"

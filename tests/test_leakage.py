@@ -41,6 +41,19 @@ def ket0_plus_ensemble():
     )
 
 
+def trine_ensemble():
+    return Ensemble(["0", "1", "2"], [
+        DensityOperator.from_pure([np.cos(2 * np.pi * k / 3), np.sin(2 * np.pi * k / 3)])
+        for k in range(3)])
+
+
+def tetrahedral_ensemble():
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    bloch = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+    return Ensemble(["0", "1", "2", "3"], [
+        DensityOperator((np.eye(2) + np.tensordot(n, paulis, axes=1)) / 2) for n in bloch])
+
+
 def flat_ensemble(dim=2, n=2):
     rho = DensityOperator.maximally_mixed(dim)
     return Ensemble([f"s{i}" for i in range(n)], [rho] * n)
@@ -222,6 +235,21 @@ class TestComputeLeakage:
         with pytest.raises(ValueError):
             AscentConfig(eps=eps)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_iters", 100.0), ("max_iters", True), ("restarts", 2.5),
+        ("restarts", "3"), ("seed", 1.5), ("seed", False), ("seed", -1),
+    ])
+    def test_integer_fields_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AscentConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = AscentConfig(max_iters=np.int64(5), restarts=np.int32(1), seed=np.uint8(3))
+        plain = AscentConfig(max_iters=5, restarts=1, seed=3)
+        e = ket0_plus_ensemble()
+        assert compute_leakage(e, cfg).restart_leakages == \
+            compute_leakage(e, plain).restart_leakages
+
     def test_ceiling_is_log2_dim(self):
         # Six symbols on a qubit: min(log2 6, log2 2) = 1 bit.
         rng = np.random.default_rng(4)
@@ -278,6 +306,31 @@ class TestBruteForce:
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):
             brute_force_leakage(encode_index(2), 8)
+
+    # Both ensembles leak exactly 1 bit, reached only by their 3- and
+    # 4-outcome POVMs (the best projective measurement gives 0.8999 and
+    # 0.8612 bits), so these cases test the sampled search.
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("ensemble", [trine_ensemble, tetrahedral_ensemble],
+                             ids=["trine", "tetrahedral"])
+    def test_sampled_povms_beat_projective(self, ensemble, seed):
+        assert 0.98 <= brute_force_leakage(ensemble(), 64, seed=seed) <= 1.0 + 1e-12
+
+    def test_rank_deficient_draws_skipped(self, monkeypatch):
+        # Zero and parallel columns in the first draws of each outcome count
+        # are skipped without a warning; the other draws still count.
+        draw = np.random.default_rng(0).standard_normal
+
+        class Degenerate:
+            def standard_normal(self, shape):
+                g = draw(shape)
+                g[0] = 0.0
+                g[1, :, 1] = 2.0 * g[1, :, 0]
+                return g
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Degenerate())
+        # above the best projective value 0.8999 bits, so sampled draws count
+        assert 0.9 < brute_force_leakage(trine_ensemble(), 16, samples=1000) <= 1.0 + 1e-12
 
 
 class TestMutualInformation:

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -51,6 +52,17 @@ def affine_depolarize(rho, p, dim):
 def test_empty_matrices_rejected(build):
     with pytest.raises(DimensionMismatchError, match="non-empty"):
         build()
+
+
+@pytest.mark.parametrize("amplitudes, shape", [
+    (np.eye(2), "(2, 2)"),
+    ([], "(0,)"),
+    (3.0, "()"),
+], ids=["matrix", "empty", "scalar"])
+def test_from_pure_needs_a_vector(amplitudes, shape):
+    with pytest.raises(DimensionMismatchError,
+                       match=rf"1-D and non-empty, got shape {re.escape(shape)}$"):
+        DensityOperator.from_pure(amplitudes, normalize=True)
 
 
 class TestDensityOperator:
