@@ -9,7 +9,6 @@ from .states import (
     Ensemble,
     KrausChannel,
     Povm,
-    apply_channel,
     born_distribution,
     depolarizing,
     depolarizing_global,
@@ -55,7 +54,6 @@ __all__ = [
     "Povm",
     "PropertyCheck",
     "PropertyReport",
-    "apply_channel",
     "ascent_step",
     "born_distribution",
     "brute_force_leakage",

@@ -177,10 +177,10 @@ def ensemble_to_config(ensemble: Ensemble) -> dict:
                 "label": label,
                 "prior": float(prior),
                 "state": {"kind": "density_matrix",
-                          "rows": matrix_to_pairs(state.matrix)},
+                          "rows": matrix_to_pairs(matrix)},
             }
-            for label, prior, state in zip(ensemble.symbols, ensemble.priors,
-                                           ensemble.states)
+            for label, prior, matrix in zip(ensemble.symbols, ensemble.priors,
+                                            ensemble.state_stack())
         ],
     }
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,15 +73,23 @@ class AscentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("mu", "eps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.mu <= 10.0:
             raise ValueError(f"step size {self.mu} outside (0, 10]")
         if not 0.0 < self.eps < math.inf:
             raise ValueError(f"termination threshold {self.eps} must be finite "
                              "and positive")
         for name, low in (("max_iters", 1), ("restarts", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            _check_count(name, getattr(self, name), low)
+
+
+def _check_count(name: str, value, low: int):
+    """Raise ValueError unless value is an integer (not a bool) >= low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass
@@ -270,12 +279,13 @@ def brute_force_leakage(ensemble: Ensemble, grid_resolution: int,
     (theta, phi) grid of grid_resolution x 2*grid_resolution directions
     (poles included); three- and four-outcome rank-one POVMs are sampled
     at random, ``samples`` draws each, from the given seed. Both searches
-    are scored by conditional_traces, the one trace kernel.
+    are scored by conditional_traces, the one trace kernel. Needs integers
+    grid_resolution >= 16 and samples >= 0 (0 searches the grid only).
     """
     if ensemble.dim != 2:
         raise UnsupportedDimensionError("brute force search is qubit-only")
-    if grid_resolution < 16:
-        raise ValueError("grid_resolution must be at least 16")
+    _check_count("grid_resolution", grid_resolution, 16)
+    _check_count("samples", samples, 0)
     states = ensemble.state_stack()
 
     theta = np.linspace(0.0, np.pi, grid_resolution)

@@ -1,9 +1,9 @@
 """Domain layer: density operators, classical-quantum ensembles, POVMs and
 Kraus channels, plus the two reference encoders and depolarizing noise models.
 
-Constructors validate every invariant, so no invalid value circulates past
-this module; all wrapped arrays are frozen (read-only) and therefore safe to
-share across threads.
+Constructors validate every invariant and `Ensemble.transform` maps states
+only through checked channels, so no invalid value circulates past this
+module; all wrapped arrays are frozen (read-only) and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -103,13 +103,20 @@ class DensityOperator:
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
         return cls(np.eye(dim) / dim)
 
+    @classmethod
+    def _unchecked(cls, matrix: np.ndarray) -> "DensityOperator":
+        """Wrap a frozen matrix that is already a state without re-checking it."""
+        rho = cls.__new__(cls)
+        rho.matrix, rho.dim = matrix, len(matrix)
+        return rho
+
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim})"
 
 
 class Ensemble:
     """Classical secret support with a prior and one density operator per
-    symbol.
+    symbol, stored as one frozen (|X|, d, d) state stack.
 
     Parameters
     ----------
@@ -124,20 +131,18 @@ class Ensemble:
     def __init__(self, symbols: Sequence[str], states: Sequence[DensityOperator],
                  priors: Sequence[float] | None = None):
         self.symbols = tuple(str(s) for s in symbols)
-        self.states = tuple(states)
+        states = tuple(states)
         if not self.symbols:
             raise DimensionMismatchError("ensemble needs at least one symbol")
         if len(set(self.symbols)) < len(self.symbols):
             label = next(s for i, s in enumerate(self.symbols) if s in self.symbols[:i])
             raise DimensionMismatchError(f"duplicate symbol label {label!r}")
-        if len(self.symbols) != len(self.states):
-            raise DimensionMismatchError(
-                f"{len(self.symbols)} symbols but {len(self.states)} states"
-            )
-        dims = {s.dim for s in self.states}
+        if len(self.symbols) != len(states):
+            raise DimensionMismatchError(f"{len(self.symbols)} symbols but {len(states)} states")
+        dims = {s.dim for s in states}
         if len(dims) != 1:
             raise DimensionMismatchError(f"states have mixed dimensions {sorted(dims)}")
-        self.dim = self.states[0].dim
+        self._stack = _frozen([s.matrix for s in states])
         if priors is None:
             p = np.full(len(self.symbols), 1.0 / len(self.symbols))
         else:
@@ -155,22 +160,37 @@ class Ensemble:
     def size(self) -> int:
         return len(self.symbols)
 
+    @property
+    def dim(self) -> int:
+        return self._stack.shape[1]
+
+    @property
+    def states(self) -> tuple[DensityOperator, ...]:
+        """One DensityOperator per row of the stack, built on each access."""
+        return tuple(map(DensityOperator._unchecked, self._stack))
+
     def state_stack(self) -> np.ndarray:
-        """All states as one (|X|, d, d) array (a fresh, writable copy)."""
-        return np.stack([s.matrix for s in self.states])
+        """All states as one frozen (|X|, d, d) array (the stored one, not a copy)."""
+        return self._stack
 
     def with_priors(self, priors: Sequence[float]) -> "Ensemble":
         return Ensemble(self.symbols, self.states, priors)
 
     def transform(self, channel: "KrausChannel") -> "Ensemble":
-        """Apply a quantum channel to every state, keeping labels and priors."""
-        mapped = _kraus_map(channel, self.state_stack())
-        return Ensemble(self.symbols, [DensityOperator(m) for m in mapped], self.priors)
+        """Map every state to sum_j E_j rho E_j^dag, one operator at a time, with
+        the same labels and priors; a checked channel maps states to states."""
+        if channel.dim_in != self.dim:
+            raise DimensionMismatchError(
+                f"channel expects dim {channel.dim_in}, state has dim {self.dim}")
+        mapped = sum(op @ self._stack @ op.conj().T for op in channel.kraus_ops)
+        out = Ensemble.__new__(Ensemble)
+        out.symbols, out.priors = self.symbols, self.priors
+        out._stack = _frozen(linalg.hermitize(mapped))
+        return out
 
     def is_indistinguishable(self, atol: float = 1e-9) -> bool:
         """True when all states agree entrywise within atol."""
-        first = self.states[0].matrix
-        return all(np.max(np.abs(s.matrix - first)) <= atol for s in self.states[1:])
+        return bool(np.max(np.abs(self._stack - self._stack[0])) <= atol)
 
     def __repr__(self) -> str:
         return f"Ensemble(|X|={self.size}, dim={self.dim})"
@@ -311,24 +331,6 @@ def born_distribution(ensemble: Ensemble, povm: Povm) -> np.ndarray:
     """
     traces = conditional_traces(ensemble.state_stack(), povm.factors)
     return np.clip(traces.real, 0.0, 1.0)
-
-
-def _kraus_map(channel: KrausChannel, stack: np.ndarray) -> np.ndarray:
-    """sum_j E_j rho E_j^dag for every rho of a (|X|, d, d) stack, one
-    operator at a time (never an (|X|, n, d, d) intermediate)."""
-    if channel.dim_in != stack.shape[-1]:
-        raise DimensionMismatchError(
-            f"channel expects dim {channel.dim_in}, state has dim {stack.shape[-1]}"
-        )
-    out = np.zeros((len(stack), channel.dim_out, channel.dim_out), dtype=np.complex128)
-    for op in channel.kraus_ops:
-        out += op @ stack @ op.conj().T
-    return out
-
-
-def apply_channel(channel: KrausChannel, rho: DensityOperator) -> DensityOperator:
-    """Push a density operator through a channel: sum_j E_j rho E_j^dag."""
-    return DensityOperator(_kraus_map(channel, rho.matrix[None])[0])
 
 
 def _check_probability(p: float) -> float:

@@ -31,3 +31,8 @@ def random_ensemble(dim, n_symbols, rng, pure=False):
     make = random_pure if pure else random_density
     states = [make(dim, rng) for _ in range(n_symbols)]
     return Ensemble([f"s{i}" for i in range(n_symbols)], states)
+
+
+def map_state(channel, rho):
+    """channel(rho), through a one-state ensemble's transform."""
+    return Ensemble(["x"], [rho]).transform(channel).states[0]

@@ -240,6 +240,22 @@ class TestVerify:
         assert manifest["config"]["channel_sha256"] == \
             hashlib.sha256(chan.read_bytes()).hexdigest()
 
+    def test_channel_at_tolerance_on_state_at_tolerance(self, tmp_path, capsys):
+        # Trace 1 + 0.9e-9 and completeness defect 0.9e-9 are each accepted;
+        # the mapped state's trace 1 + 1.8e-9 is not re-checked.
+        amp = math.sqrt(1 + 0.9e-9)
+        ens, chan = tmp_path / "e.json", tmp_path / "c.json"
+        ens.write_text(json.dumps({"dimension": 2, "symbols": [
+            {"label": "a", "state": {"kind": "density_matrix",
+                                     "rows": [[[1 + 0.9e-9, 0], [0, 0]], [[0, 0], [0, 0]]]}},
+            {"label": "b", "state": {"kind": "basis_index", "index": 1}}]}))
+        chan.write_text(json.dumps({"kind": "kraus", "kraus_ops": [
+            [[[amp, 0], [0, 0]], [[0, 0], [amp, 0]]]]}))
+        assert main(["verify", "--ensemble", str(ens), "--channel-file", str(chan),
+                     "--restarts", "3", "--max-iters", "3000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(" PASS " in line for line in lines) == 7
+
     @pytest.mark.parametrize("name, check, replacement", [
         # I(X;Y) of 2 bits exceeds the 1-bit objective of any index2 POVM.
         ("mutual_information", "povm_dominance", lambda e, f: 2.0),

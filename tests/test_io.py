@@ -23,8 +23,8 @@ from qleak.exceptions import (
     InvalidProbabilityError,
     UnsupportedDimensionError,
 )
-from qleak.states import DensityOperator, apply_channel, depolarizing_global
-from helpers import random_density
+from qleak.states import DensityOperator, depolarizing_global
+from helpers import map_state, random_density
 
 
 def pair_matrix(matrix):
@@ -201,8 +201,8 @@ class TestChannelSchema:
         chan = parse_channel_config({"kind": "global", "p": 0.5}, 2)
         rng = np.random.default_rng(1)
         rho = random_density(2, rng)
-        expected = apply_channel(depolarizing_global(0.5, 2), rho)
-        assert np.allclose(apply_channel(chan, rho).matrix, expected.matrix)
+        expected = map_state(depolarizing_global(0.5, 2), rho)
+        assert np.allclose(map_state(chan, rho).matrix, expected.matrix)
 
     def test_local_requires_power_of_two(self):
         with pytest.raises(UnsupportedDimensionError):

@@ -230,7 +230,7 @@ class TestComputeLeakage:
                                  AscentConfig(restarts=1, max_iters=3, seed=0))
         assert report.converged_flags == [False]
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-9, float("nan"), float("inf")])
+    @pytest.mark.parametrize("eps", [0.0, -1e-9, float("nan"), float("inf"), True, "1e-9"])
     def test_eps_must_be_finite_and_positive(self, eps):
         with pytest.raises(ValueError):
             AscentConfig(eps=eps)
@@ -238,6 +238,7 @@ class TestComputeLeakage:
     @pytest.mark.parametrize("field, value", [
         ("max_iters", 100.0), ("max_iters", True), ("restarts", 2.5),
         ("restarts", "3"), ("seed", 1.5), ("seed", False), ("seed", -1),
+        ("mu", True), ("mu", "0.1"), ("eps", True), ("eps", np.True_),
     ])
     def test_integer_fields_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -249,6 +250,10 @@ class TestComputeLeakage:
         e = ket0_plus_ensemble()
         assert compute_leakage(e, cfg).restart_leakages == \
             compute_leakage(e, plain).restart_leakages
+
+    def test_numpy_floats_accepted(self):
+        cfg = AscentConfig(mu=np.float64(0.2), eps=np.float32(1e-9))
+        assert (cfg.mu, cfg.eps) == (0.2, np.float32(1e-9))
 
     def test_ceiling_is_log2_dim(self):
         # Six symbols on a qubit: min(log2 6, log2 2) = 1 bit.
@@ -306,6 +311,18 @@ class TestBruteForce:
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):
             brute_force_leakage(encode_index(2), 8)
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("samples", {"samples": -1}), ("samples", {"samples": 2.5}),
+        ("samples", {"samples": True}), ("grid_resolution", {"grid_resolution": 16.5}),
+        ("grid_resolution", {"grid_resolution": False}),
+    ])
+    def test_counts_must_be_integers(self, name, kwargs):
+        with pytest.raises(ValueError, match=name):
+            brute_force_leakage(encode_index(2), **{"grid_resolution": 16, **kwargs})
+
+    def test_zero_samples_searches_the_grid(self):
+        assert brute_force_leakage(encode_index(2), 16, samples=0) == 1.0
 
     # Both ensembles leak exactly 1 bit, reached only by their 3- and
     # 4-outcome POVMs (the best projective measurement gives 0.8999 and

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from qleak import (
+    AscentConfig,
     DensityOperator,
     Ensemble,
     KrausChannel,
     Povm,
-    apply_channel,
     born_distribution,
+    compute_leakage,
     depolarizing_global,
     depolarizing_local,
     encode_amplitude_3bit,
@@ -32,7 +33,7 @@ from qleak.exceptions import (
     NumericalFailureError,
     UnsupportedDimensionError,
 )
-from helpers import random_density, random_pure
+from helpers import map_state, random_density, random_pure
 
 
 def affine_depolarize(rho, p, dim):
@@ -120,6 +121,17 @@ class TestEnsemble:
             Ensemble(["x", "x"], states)
         with pytest.raises(DimensionMismatchError, match="'1'"):
             Ensemble([1, "1"], states)  # labels are compared as strings
+
+    def test_state_stack_is_the_frozen_store(self):
+        e = encode_index(3)
+        stack = e.state_stack()
+        assert not stack.flags.writeable
+        assert stack is e.state_stack()
+        assert stack.shape == (3, 3, 3) and stack.dtype == np.complex128
+        assert all(np.array_equal(rho.matrix, m) for rho, m in zip(e.states, stack))
+        assert not e.transform(depolarizing_global(0.5, 3)).state_stack().flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 2.0
 
     def test_indistinguishable(self):
         rho = DensityOperator.maximally_mixed(2)
@@ -218,7 +230,7 @@ class TestKrausChannel:
     def test_identity(self):
         chan = KrausChannel([np.eye(3)])
         rho = DensityOperator.maximally_mixed(3)
-        assert np.allclose(apply_channel(chan, rho).matrix, rho.matrix)
+        assert np.allclose(map_state(chan, rho).matrix, rho.matrix)
 
     def test_trace_preservation_enforced(self):
         with pytest.raises(InvalidChannelError):
@@ -226,8 +238,9 @@ class TestKrausChannel:
 
     def test_dim_mismatch(self):
         chan = KrausChannel([np.eye(2)])
-        with pytest.raises(DimensionMismatchError):
-            apply_channel(chan, DensityOperator.maximally_mixed(3))
+        with pytest.raises(DimensionMismatchError,
+                           match="channel expects dim 2, state has dim 3"):
+            map_state(chan, DensityOperator.maximally_mixed(3))
         with pytest.raises(DimensionMismatchError):
             encode_index(3).transform(chan)
 
@@ -257,14 +270,25 @@ class TestKrausChannel:
                 for op in chan.kraus_ops:
                     dense += op @ rho.matrix @ op.conj().T
                 assert np.array_equal(mapped.matrix, DensityOperator(dense).matrix)
-                assert np.array_equal(apply_channel(chan, rho).matrix, mapped.matrix)
+
+    def test_transform_accepts_composition_at_tolerance(self):
+        # Trace 1 + 0.9e-9 and completeness defect 0.9e-9 are each accepted;
+        # their composition has trace 1 + 1.8e-9 and is still mapped.
+        rho = DensityOperator(np.diag([1 + 0.9e-9, 0.0]))
+        e = Ensemble(["a", "b"], [rho, DensityOperator.basis_state(2, 1)], [0.25, 0.75])
+        mapped = e.transform(KrausChannel([np.sqrt(1 + 0.9e-9) * np.eye(2)]))
+        assert mapped.symbols == e.symbols and mapped.priors is e.priors
+        assert np.array_equal(mapped.with_priors([0.5, 0.5]).state_stack(), mapped.state_stack())
+        assert mapped.state_stack()[0].trace().real == pytest.approx(1 + 1.8e-9, abs=1e-15)
+        report = compute_leakage(mapped, AscentConfig(restarts=2, max_iters=2000, seed=0))
+        assert report.leakage_bits == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_channel_preserves_state_validity(self, seed):
         rng = np.random.default_rng(seed)
         chan = random_kraus_channel(3, 4, seed)
         rho = random_density(3, rng)
-        out = apply_channel(chan, rho)
+        out = map_state(chan, rho)
         assert out.matrix.trace().real == pytest.approx(1.0, abs=1e-10)
 
 
@@ -315,18 +339,18 @@ class TestDepolarizingGlobal:
     def test_p0_is_identity(self):
         rng = np.random.default_rng(1)
         rho = random_density(4, rng)
-        out = apply_channel(depolarizing_global(0.0, 4), rho)
+        out = map_state(depolarizing_global(0.0, 4), rho)
         assert np.max(np.abs(out.matrix - rho.matrix)) <= 1e-12
 
     def test_p1_is_maximally_mixed(self):
         rng = np.random.default_rng(2)
         rho = random_density(4, rng)
-        out = apply_channel(depolarizing_global(1.0, 4), rho)
+        out = map_state(depolarizing_global(1.0, 4), rho)
         assert np.max(np.abs(out.matrix - np.eye(4) / 4)) <= 1e-12
 
     def test_half_on_ground_state(self):
         rho = DensityOperator.basis_state(2, 0)
-        out = apply_channel(depolarizing_global(0.5, 2), rho)
+        out = map_state(depolarizing_global(0.5, 2), rho)
         assert np.allclose(out.matrix, np.diag([0.75, 0.25]))
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.9, 1.0])
@@ -334,7 +358,7 @@ class TestDepolarizingGlobal:
     def test_kraus_matches_affine_formula(self, p, dim):
         rng = np.random.default_rng(int(p * 10) + dim)
         rho = random_density(dim, rng)
-        out = apply_channel(depolarizing_global(p, dim), rho)
+        out = map_state(depolarizing_global(p, dim), rho)
         assert np.max(np.abs(out.matrix - affine_depolarize(rho.matrix, p, dim))) <= 1e-12
 
     def test_invalid_probability(self):
@@ -361,14 +385,14 @@ class TestDepolarizingLocal:
     def test_single_qubit_matches_global(self, p):
         rng = np.random.default_rng(7)
         rho = random_density(2, rng)
-        local = apply_channel(depolarizing_local(p, 1), rho)
-        glob = apply_channel(depolarizing_global(p, 2), rho)
+        local = map_state(depolarizing_local(p, 1), rho)
+        glob = map_state(depolarizing_global(p, 2), rho)
         assert np.max(np.abs(local.matrix - glob.matrix)) <= 1e-12
 
     def test_p0_identity(self):
         rng = np.random.default_rng(8)
         rho = random_density(4, rng)
-        out = apply_channel(depolarizing_local(0.0, 2), rho)
+        out = map_state(depolarizing_local(0.0, 2), rho)
         assert np.max(np.abs(out.matrix - rho.matrix)) <= 1e-12
 
     def test_two_qubits_product_state_oracle(self):
@@ -378,7 +402,7 @@ class TestDepolarizingLocal:
         expected = np.kron(affine_depolarize(rho0, p, 2),
                            affine_depolarize(rho0, p, 2))
         ket00 = DensityOperator.from_pure([1, 0, 0, 0])
-        out = apply_channel(depolarizing_local(p, 2), ket00)
+        out = map_state(depolarizing_local(p, 2), ket00)
         assert np.max(np.abs(out.matrix - expected)) <= 1e-12
 
     @pytest.mark.parametrize("p", [0.2, 0.8])
@@ -387,10 +411,10 @@ class TestDepolarizingLocal:
         rho_a = random_density(2, rng)
         rho_b = random_density(2, rng)
         joint = DensityOperator(np.kron(rho_a.matrix, rho_b.matrix))
-        out = apply_channel(depolarizing_local(p, 2), joint)
+        out = map_state(depolarizing_local(p, 2), joint)
         single = depolarizing_local(p, 1)
-        expected = np.kron(apply_channel(single, rho_a).matrix,
-                           apply_channel(single, rho_b).matrix)
+        expected = np.kron(map_state(single, rho_a).matrix,
+                           map_state(single, rho_b).matrix)
         assert np.max(np.abs(out.matrix - expected)) <= 1e-10
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
