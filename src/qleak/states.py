@@ -28,7 +28,7 @@ from .exceptions import (
 DENSITY_ATOL = 1e-9      # hermiticity / PSD / trace tolerance for states
 POVM_ATOL = 1e-8         # per-element PSD and completeness tolerance
 CHANNEL_ATOL = 1e-9      # trace-preservation tolerance for Kraus sets
-# Validators test `not defect <= tol`, so a NaN (an overflowed defect) fails.
+# Input entries are bounded by linalg.MAX_ENTRY, so no sum formed here overflows.
 
 # The depolarizing noise models: "global" acts on the whole register,
 # "local" on each of its qubits.
@@ -60,10 +60,7 @@ class DensityOperator:
         eigs = np.linalg.eigvalsh(mat)
         if not eigs[0] >= -DENSITY_ATOL:
             raise NotPsdError(f"density operator eigenvalue {eigs[0]:.3e} is negative")
-        with np.errstate(over="ignore"):
-            tr = float(mat.trace().real)
-        if tr == np.inf:
-            raise NumericalFailureError("density operator entries overflow: the trace is inf")
+        tr = float(mat.trace().real)
         if not abs(tr - 1.0) <= DENSITY_ATOL:
             raise NumericalFailureError(f"density operator trace {tr} is not 1")
         self.matrix = _frozen(mat)
@@ -72,23 +69,24 @@ class DensityOperator:
     @classmethod
     def from_pure(cls, amplitudes, normalize: bool = False) -> "DensityOperator":
         """Rank-one projector |psi><psi| from a non-empty 1-D state vector."""
-        vec = np.asarray(amplitudes, dtype=np.complex128)
+        vec = np.array(amplitudes, dtype=np.complex128)
         if vec.ndim != 1 or not vec.size:
             raise DimensionMismatchError(
                 f"state vector must be 1-D and non-empty, got shape {vec.shape}")
-        vec = linalg.as_cmatrix(vec[None], "state vector")[0]  # rejects NaN and Inf
         if normalize:
             # Scaling the largest entry into [1, 2) by a power of two is exact
-            # and keeps the norm from overflowing or underflowing.
-            exponent = np.frexp(np.max(np.abs([vec.real, vec.imag]), initial=0.0))[1]
-            vec = vec * np.ldexp(1.0, min(1 - int(exponent), 1023))
+            # and keeps the norm from overflowing or underflowing; on the real
+            # and imaginary parts it passes NaN and Inf on without a warning.
+            parts = vec.view(np.float64)
+            exponent = np.frexp(np.abs(parts).max())[1]
+            vec = np.ldexp(parts, min(1 - int(exponent), 1023)).view(np.complex128)
+        vec = linalg.as_cmatrix(vec[None], "state vector")[0]
+        if normalize:
             norm = np.linalg.norm(vec)
             if norm == 0:
                 raise NumericalFailureError("cannot normalize the zero vector")
             vec = vec / norm
-        with np.errstate(over="ignore", invalid="ignore"):  # Inf entries fail in cls
-            projector = np.outer(vec, vec.conj())
-        return cls(projector)
+        return cls(np.outer(vec, vec.conj()))
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "DensityOperator":
@@ -177,15 +175,18 @@ class Ensemble:
         return Ensemble(self.symbols, self.states, priors)
 
     def transform(self, channel: "KrausChannel") -> "Ensemble":
-        """Map every state to sum_j E_j rho E_j^dag, one operator at a time, with
-        the same labels and priors; a checked channel maps states to states."""
+        """Map every state to sum_j E_j rho E_j^dag, one operator at a time,
+        divided by its real trace, with the same labels and priors. A checked
+        channel maps states to states; the division keeps the trace defects of
+        state and channel from adding up past DENSITY_ATOL."""
         if channel.dim_in != self.dim:
             raise DimensionMismatchError(
                 f"channel expects dim {channel.dim_in}, state has dim {self.dim}")
         mapped = sum(op @ self._stack @ op.conj().T for op in channel.kraus_ops)
+        traces = np.trace(mapped, axis1=1, axis2=2).real
         out = Ensemble.__new__(Ensemble)
         out.symbols, out.priors = self.symbols, self.priors
-        out._stack = _frozen(linalg.hermitize(mapped))
+        out._stack = _frozen(linalg.hermitize(mapped / traces[:, None, None]))
         return out
 
     def is_indistinguishable(self, atol: float = 1e-9) -> bool:
@@ -221,8 +222,7 @@ class Povm:
                 raise NotPsdError(f"POVM element {i} has eigenvalue {low:.3e}")
         # Completeness is checked on the elements as given: the trimming
         # below drops the eigenvalues in [-POVM_ATOL, 0) that pass above.
-        with np.errstate(over="ignore", invalid="ignore"):
-            _check_completeness(stack.sum(axis=0), "sum of POVM elements")
+        _check_completeness(stack.sum(axis=0))
         # Keep each element's eigenpairs above d * eps * lambda_max and pad
         # with zero columns up to the largest rank r; the ascent maps a zero
         # column to zero, so padding never changes the iterate.
@@ -236,13 +236,10 @@ class Povm:
         """The POVM with elements F_y = H_y H_y^dag, from factors of shape
         (m, d, r); PSD by construction, checked for completeness."""
         h = np.asarray(factors, dtype=np.complex128)
-        if h.ndim != 3 or 0 in h.shape[:2]:
+        if h.ndim != 3 or 0 in h.shape:
             raise DimensionMismatchError(f"POVM factors must have shape (m, d, r), got {h.shape}")
-        if not np.all(np.isfinite(h)):
-            raise NumericalFailureError("POVM factors contain NaN or Inf entries")
-        with np.errstate(over="ignore", invalid="ignore"):
-            _check_completeness(np.tensordot(h, h.conj(), axes=([0, 2], [0, 2])),
-                                "sum of H_y H_y^dag")
+        linalg.as_cmatrix(h.reshape(-1, h.shape[2]), "POVM factor stack")
+        _check_completeness(np.tensordot(h, h.conj(), axes=([0, 2], [0, 2])))
         povm = cls.__new__(cls)
         povm.factors = _frozen(h)
         return povm
@@ -271,16 +268,14 @@ class Povm:
         return f"Povm(m={len(self)}, dim={self.dim})"
 
 
-def _check_completeness(total: np.ndarray, name: str, atol: float = POVM_ATOL,
+def _check_completeness(total: np.ndarray, atol: float = POVM_ATOL,
                         error: type = NumericalFailureError):
-    """Raise ``error`` unless total (``name``: sum_y F_y of a POVM, or
-    sum_j E_j^dag E_j of a Kraus set) is the identity within atol in operator
-    norm. That norm bounds every later use: |tr(rho (total - I))| <= atol for
-    a state rho, so Born rows sum to 1 and channel outputs keep unit trace
-    within atol. An entry that overflowed to Inf or NaN raises too."""
-    if not np.all(np.isfinite(total)):
-        raise error(f"{name} overflows")
-    vals, _ = linalg.herm_eig(total - np.eye(len(total)))
+    """Raise ``error`` unless total (sum_y F_y of a POVM, or sum_j E_j^dag E_j
+    of a Kraus set) is the identity within atol in operator norm. That norm
+    bounds every later use: |tr(rho (total - I))| <= atol for a state rho, so
+    Born rows sum to 1 and channel outputs keep unit trace within atol.
+    The total is finite but may exceed linalg.MAX_ENTRY, so it skips herm_eig."""
+    vals = np.linalg.eigh(linalg.hermitize(total - np.eye(len(total))))[0]
     defect = max(-vals[0], vals[-1])
     if not defect <= atol:
         raise error(f"completeness defect {defect:.3e} exceeds {atol:.0e}")
@@ -302,10 +297,9 @@ class KrausChannel:
         # sum_j E_j^dag E_j as one real product of the rows a + ib of all
         # operators, a^T a + b^T b + i (a^T b - b^T a): no conjugated copy.
         rows = self.kraus_ops.reshape(-1, self.dim_in).view(np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = (rows.T @ rows).reshape(self.dim_in, 2, self.dim_in, 2)
-            total = g[:, 0, :, 0] + g[:, 1, :, 1] + 1j * (g[:, 0, :, 1] - g[:, 1, :, 0])
-            _check_completeness(total, "sum of E_j^dag E_j", CHANNEL_ATOL, InvalidChannelError)
+        g = (rows.T @ rows).reshape(self.dim_in, 2, self.dim_in, 2)
+        total = g[:, 0, :, 0] + g[:, 1, :, 1] + 1j * (g[:, 0, :, 1] - g[:, 1, :, 0])
+        _check_completeness(total, CHANNEL_ATOL, InvalidChannelError)
 
     def __repr__(self) -> str:
         return f"KrausChannel({self.dim_in}->{self.dim_out}, {len(self.kraus_ops)} ops)"

@@ -242,7 +242,7 @@ class TestVerify:
 
     def test_channel_at_tolerance_on_state_at_tolerance(self, tmp_path, capsys):
         # Trace 1 + 0.9e-9 and completeness defect 0.9e-9 are each accepted;
-        # the mapped state's trace 1 + 1.8e-9 is not re-checked.
+        # their composition is mapped to unit trace.
         amp = math.sqrt(1 + 0.9e-9)
         ens, chan = tmp_path / "e.json", tmp_path / "c.json"
         ens.write_text(json.dumps({"dimension": 2, "symbols": [
@@ -276,10 +276,12 @@ class TestVerify:
         (["--ensemble", "{}"],
          {"dimension": 2, "symbols": [{"label": "big", "state": {
              "kind": "density_matrix", "rows": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]}}]},
-         "entries overflow"),
+         "symbol 'big': invalid state (density operator has an entry that is NaN, Inf "
+         "or above 2^256 in magnitude)"),
         (["--ensemble", "builtin:index2", "--channel-file", "{}"],
          {"kind": "kraus", "kraus_ops": [[[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]]]},
-         "sum of E_j^dag E_j overflows"),
+         "invalid kraus channel: Kraus operator 0 has an entry that is NaN, Inf "
+         "or above 2^256 in magnitude"),
     ], ids=["density_matrix", "kraus"])
     def test_overflowing_entries_exit_2_without_warnings(self, tmp_path, capsys,
                                                          inputs, spec, named):

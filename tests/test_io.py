@@ -154,6 +154,17 @@ class TestEnsembleSchema:
             assert np.array_equal(a.matrix, b.matrix)
         assert np.array_equal(e.priors, back.priors)
 
+    def test_roundtrip_of_a_mapped_ensemble(self):
+        # Trace 1 + 0.9e-9 through a channel with completeness defect 0.9e-9
+        # would give trace 1 + 1.8e-9, which the reader rejects; transform
+        # divides each mapped state by its trace.
+        rho = DensityOperator(np.diag([1 + 0.9e-9, 0.0]))
+        e = Ensemble(["a", "b"], [rho, DensityOperator.basis_state(2, 1)])
+        mapped = e.transform(KrausChannel([np.sqrt(1 + 0.9e-9) * np.eye(2)]))
+        back = parse_ensemble_config(ensemble_to_config(mapped))
+        assert np.array_equal(back.state_stack(), mapped.state_stack())
+        assert back.symbols == mapped.symbols
+
 
 class TestBuiltins:
     def test_names(self):

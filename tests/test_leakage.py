@@ -30,7 +30,8 @@ from qleak.exceptions import (
     InvalidProbabilityError,
     UnsupportedDimensionError,
 )
-from helpers import random_density, random_ensemble, random_pure
+from helpers import (cyclic_orbit, orbit_leakage, random_density, random_ensemble,
+                     random_pure)
 
 
 def ket0_plus_ensemble():
@@ -349,6 +350,42 @@ class TestBruteForce:
         # above the best projective value 0.8999 bits, so sampled draws count
         assert 0.9 < brute_force_leakage(trine_ensemble(), 16, samples=1000) <= 1.0 + 1e-12
 
+
+class TestOrbitOracle:
+    """Geometrically uniform ensembles, whose leakage has a closed form. The
+    ascent's value is that of a feasible POVM, so it may approach the exact
+    value from below but never exceed it."""
+
+    def test_amplitude3_closed_form(self):
+        # amplitude3 is the Z_2^3 orbit of one state; its Gram eigenvalues
+        # are 4, 4/3 (three times) and 0 (four times).
+        exact = orbit_leakage(encode_amplitude_3bit())
+        assert exact == pytest.approx(2 * math.log2(1 + math.sqrt(3)) - 1, abs=1e-12)
+        assert exact == pytest.approx(1.8999686269529916, abs=1e-12)
+        ascent = compute_leakage(encode_amplitude_3bit(),
+                                 AscentConfig(restarts=3, seed=0)).leakage_bits
+        assert exact - 1e-3 <= ascent <= exact + 1e-9
+
+    def test_trine_is_one_bit(self):
+        assert orbit_leakage(trine_ensemble()) == pytest.approx(1.0, abs=1e-12)
+        # The sampled search is coarse, as in TestBruteForce, but a lower bound.
+        assert 0.98 <= brute_force_leakage(trine_ensemble(), 64) <= 1.0 + 1e-9
+        ascent = compute_leakage(trine_ensemble(),
+                                 AscentConfig(restarts=2, seed=0)).leakage_bits
+        assert 1.0 - 1e-3 <= ascent <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("dim, n_symbols", [(4, 6), (8, 12)])
+    def test_cyclic_orbit_reached(self, dim, n_symbols):
+        ensemble = cyclic_orbit(dim, n_symbols, np.random.default_rng(dim))
+        exact = orbit_leakage(ensemble)
+        assert math.log2(1 + 1e-3) < exact < math.log2(min(dim, n_symbols))
+        ascent = compute_leakage(ensemble, AscentConfig(restarts=2, seed=0)).leakage_bits
+        assert exact - 1e-3 <= ascent <= exact + 1e-9
+
+    def test_cyclic_orbit_d16_never_exceeded(self):
+        ensemble = cyclic_orbit(16, 24, np.random.default_rng(16))
+        report = compute_leakage(ensemble, AscentConfig(restarts=1, max_iters=200, seed=0))
+        assert report.leakage_bits <= orbit_leakage(ensemble) + 1e-9
 
 class TestMutualInformation:
     def test_independent_gives_zero(self):

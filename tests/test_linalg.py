@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qleak import inv_sqrt_psd, trace_distance
-from qleak.linalg import herm_eig, hermiticity_defect, hermitize
+from qleak.linalg import MAX_ENTRY, herm_eig, hermiticity_defect, hermitize
 from qleak.exceptions import (
     DimensionMismatchError,
     NonSquareError,
@@ -110,11 +110,19 @@ class TestHermitianHelpers:
 
     def test_entries_near_the_float_maximum(self):
         m = np.array([[1e308, 1e308j], [-1e308j, 1e308]])
+        big = np.full((2, 2), MAX_ENTRY)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.array_equal(hermitize(m), m)
-            assert hermiticity_defect(m) == 0.0
-            assert hermiticity_defect(np.diag([1e308j, 0.0])) == 2.0
+            # Entries of exactly MAX_ENTRY pass the one bound and give finite values.
+            assert np.array_equal(herm_eig(MAX_ENTRY * np.eye(2))[0], [MAX_ENTRY] * 2)
+            assert np.array_equal(inv_sqrt_psd(MAX_ENTRY * np.eye(2)), 2.0 ** -128 * np.eye(2))
+            assert hermiticity_defect(big) == 0.0
+            assert hermiticity_defect(np.diag([MAX_ENTRY * 1j, 0.0])) == 2.0
+            for value in (2 * MAX_ENTRY, np.nan, np.inf, -np.inf):
+                for func in (herm_eig, inv_sqrt_psd):
+                    with pytest.raises(NumericalFailureError, match="^matrix has an entry"):
+                        func(np.diag([1.0, value]))
 
 
 class TestTraceDistance:
@@ -150,7 +158,14 @@ class TestTraceDistance:
             trace_distance(np.zeros((2, 3)), np.zeros((2, 3)))
 
     def test_overflow_raises_instead_of_nan(self):
+        big = np.full((2, 2), MAX_ENTRY)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalFailureError, match="overflows"):
+            with pytest.raises(NumericalFailureError, match="^a has an entry that is NaN, Inf "
+                                                            "or above 2\\^256 in magnitude$"):
                 trace_distance([[0.5, 1e308], [1e308, 0.5]], np.eye(2) / 2)
+            # a - b may exceed MAX_ENTRY: 2 big has eigenvalues 0 and 2^258.
+            assert trace_distance(big, -big) == pytest.approx(2.0 ** 257, rel=1e-15)
+            for value in (2 * MAX_ENTRY, np.nan, np.inf, -np.inf):
+                with pytest.raises(NumericalFailureError, match="^b has an entry"):
+                    trace_distance(np.eye(2) / 2, np.diag([value, 0.0]))

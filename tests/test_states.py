@@ -33,7 +33,11 @@ from qleak.exceptions import (
     NumericalFailureError,
     UnsupportedDimensionError,
 )
+from qleak.linalg import MAX_ENTRY
 from helpers import map_state, random_density, random_pure
+
+# The message of the one entry bound, linalg.as_cmatrix, for a named object.
+BOUND = "^{} has an entry that is NaN, Inf or above 2\\^256 in magnitude$"
 
 
 def affine_depolarize(rho, p, dim):
@@ -214,12 +218,34 @@ class TestPovm:
             Povm.from_factors(h)
 
     def test_overflowing_element_rejected_without_warnings(self):
+        big = MAX_ENTRY * np.eye(2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalFailureError, match="completeness defect"):
+            with pytest.raises(NumericalFailureError, match=BOUND.format("POVM element 0")):
                 Povm([np.diag([1e308, 0.0]), np.diag([0.0, 1.0])])
-            with pytest.raises(NumericalFailureError, match="sum of POVM elements overflows"):
+            with pytest.raises(NumericalFailureError, match=BOUND.format("POVM element 0")):
                 Povm([np.diag([1e308, 0.0]), np.diag([1e308, 1.0])])
+            # Entries of exactly MAX_ENTRY pass the bound and fail the
+            # ordinary trace and completeness checks.
+            with pytest.raises(NumericalFailureError, match="trace 2.3.*e\\+77 is not 1"):
+                DensityOperator(big)
+            with pytest.raises(NumericalFailureError, match="completeness defect"):
+                Povm([big, np.eye(2)])
+            with pytest.raises(NumericalFailureError, match="completeness defect"):
+                Povm.from_factors(big[:, :, None])
+            with pytest.raises(InvalidChannelError, match="completeness defect"):
+                KrausChannel([big, np.eye(2)])
+            for value in (2 * MAX_ENTRY, np.nan, np.inf, -np.inf):
+                bad = np.diag([value, 0.0])
+                for build, named in [
+                        (lambda: DensityOperator(bad), "density operator"),
+                        (lambda: DensityOperator.from_pure([value, 1.0], normalize=False),
+                         "state vector"),
+                        (lambda: Povm([np.eye(2), bad]), "POVM element 1"),
+                        (lambda: Povm.from_factors(bad[None]), "POVM factor stack"),
+                        (lambda: KrausChannel([np.eye(2), bad]), "Kraus operator 1")]:
+                    with pytest.raises(NumericalFailureError, match=BOUND.format(named)):
+                        build()
 
     def test_from_factors_rejects_bad_shape(self):
         with pytest.raises(DimensionMismatchError):
@@ -258,7 +284,8 @@ class TestKrausChannel:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_transform_matches_per_state_sum(self, seed):
-        # Exact equality with sum_j E_j rho E_j^dag taken one state at a time.
+        # Exact equality with sum_j E_j rho E_j^dag taken one state at a time
+        # and divided by its real trace.
         rng = np.random.default_rng(seed)
         dim = 2 ** (1 + seed % 3)
         e = Ensemble([f"s{i}" for i in range(3)],
@@ -269,17 +296,18 @@ class TestKrausChannel:
                 dense = np.zeros((dim, dim), dtype=np.complex128)
                 for op in chan.kraus_ops:
                     dense += op @ rho.matrix @ op.conj().T
-                assert np.array_equal(mapped.matrix, DensityOperator(dense).matrix)
+                assert np.array_equal(mapped.matrix,
+                                      DensityOperator(dense / dense.trace().real).matrix)
 
     def test_transform_accepts_composition_at_tolerance(self):
         # Trace 1 + 0.9e-9 and completeness defect 0.9e-9 are each accepted;
-        # their composition has trace 1 + 1.8e-9 and is still mapped.
+        # their composition, of trace 1 + 1.8e-9, is mapped to unit trace.
         rho = DensityOperator(np.diag([1 + 0.9e-9, 0.0]))
         e = Ensemble(["a", "b"], [rho, DensityOperator.basis_state(2, 1)], [0.25, 0.75])
         mapped = e.transform(KrausChannel([np.sqrt(1 + 0.9e-9) * np.eye(2)]))
         assert mapped.symbols == e.symbols and mapped.priors is e.priors
         assert np.array_equal(mapped.with_priors([0.5, 0.5]).state_stack(), mapped.state_stack())
-        assert mapped.state_stack()[0].trace().real == pytest.approx(1 + 1.8e-9, abs=1e-15)
+        assert mapped.state_stack()[0].trace().real == pytest.approx(1.0, abs=1e-15)
         report = compute_leakage(mapped, AscentConfig(restarts=2, max_iters=2000, seed=0))
         assert report.leakage_bits == pytest.approx(1.0, abs=1e-6)
 
