@@ -10,12 +10,12 @@ class QLeakError(Exception):
     """Base class for all qleak errors."""
 
 
-class NonSquareError(QLeakError, ValueError):
-    """A square matrix was required."""
-
-
 class DimensionMismatchError(QLeakError, ValueError):
     """Operands have incompatible dimensions."""
+
+
+class NonSquareError(DimensionMismatchError):
+    """A matrix that must be square is not; every such check raises it."""
 
 
 class NotHermitianError(QLeakError, ValueError):

@@ -1,13 +1,11 @@
-"""Complex-matrix kernel: Hermitian eigendecomposition, PSD inverse square
-roots and the trace metric.
+"""Complex-matrix kernel: the validity checks of every operator qleak
+accepts, Hermitian eigendecomposition, PSD inverse square roots and the
+trace metric.
 
-The ascent loop and the trace metric go through these functions, which hold
-the kernel tolerances HERMITIAN_ATOL and PSD_EIG_FLOOR. The validation
-tolerances of states, POVMs and channels (DENSITY_ATOL, POVM_ATOL,
-CHANNEL_ATOL) live in `states`, whose DensityOperator and Povm constructors
-call numpy's eigensolvers directly. Every input matrix passes `as_cmatrix`,
-the one bound on entries (MAX_ENTRY), so no sum of products formed from it
-overflows. All functions are pure; inputs are never modified.
+`as_cmatrix` is the one bound on entries (MAX_ENTRY), so no sum of products
+formed from an input overflows. `hermitian` is the one Hermiticity check and
+ATOL the one validity tolerance; POVMs alone use a looser one,
+`states.POVM_ATOL`. All functions are pure; inputs are never modified.
 """
 
 from __future__ import annotations
@@ -22,13 +20,9 @@ from .exceptions import (
     NumericalFailureError,
 )
 
-# Asymmetry tolerance for matrices that must be Hermitian, measured on the
-# Frobenius-normalized defect ||m - m^dag||_F / max(1, ||m||_F).
-HERMITIAN_ATOL = 1e-9
-
-# Eigenvalues above this (negative) threshold count as numerical noise on a
-# PSD matrix; anything below is a genuinely invalid operator.
-PSD_EIG_FLOOR = -1e-9
+# The validity tolerance: the largest Hermiticity defect, negative eigenvalue,
+# trace defect of a state and completeness defect of a channel accepted.
+ATOL = 1e-9
 
 # Largest real or imaginary part of an input entry. Valid states, POVM
 # elements and Kraus operators have entries up to about 1; below 2^256 every
@@ -53,6 +47,17 @@ def hermiticity_defect(m: np.ndarray) -> float:
     """Frobenius-normalized distance ||m - m^dag||_F / max(1, ||m||_F) of a
     matrix with entries bounded by MAX_ENTRY."""
     return float(np.linalg.norm(m - m.conj().T) / max(1.0, np.linalg.norm(m)))
+
+
+def hermitian(m, name: str, atol: float = ATOL) -> np.ndarray:
+    """The Hermitian part of m after `as_cmatrix`; raises NonSquareError or
+    NotHermitianError unless m is square with a Hermiticity defect <= atol."""
+    arr = as_cmatrix(m, name)
+    if arr.shape[0] != arr.shape[1]:
+        raise NonSquareError(f"{name} must be square, got shape {arr.shape}")
+    if not hermiticity_defect(arr) <= atol:
+        raise NotHermitianError(f"{name} is not Hermitian within {atol:.0e}")
+    return hermitize(arr)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -86,7 +91,7 @@ def inv_sqrt_psd(s, reg: float = 0.0) -> np.ndarray:
     """Regularized inverse square root of a PSD matrix.
 
     Computes ``V diag((lambda_i + reg)^(-1/2)) V^dag`` after clamping
-    eigenvalues in [PSD_EIG_FLOOR, 0) to zero. ``reg <= 0`` is replaced by
+    eigenvalues in [-ATOL, 0) to zero. ``reg <= 0`` is replaced by
     machine epsilon so the result is always finite.
 
     Raises
@@ -95,8 +100,8 @@ def inv_sqrt_psd(s, reg: float = 0.0) -> np.ndarray:
         If any eigenvalue lies below the PSD floor.
     """
     vals, vecs = herm_eig(s)
-    if not vals[0] >= PSD_EIG_FLOOR:
-        raise NotPsdError(f"eigenvalue {vals[0]:.3e} below PSD floor {PSD_EIG_FLOOR:.0e}")
+    if not vals[0] >= -ATOL:
+        raise NotPsdError(f"eigenvalue {vals[0]:.3e} below PSD floor {-ATOL:.0e}")
     if reg <= 0.0:
         reg = np.finfo(np.float64).eps
     clamped = np.maximum(vals, 0.0)
@@ -105,18 +110,12 @@ def inv_sqrt_psd(s, reg: float = 0.0) -> np.ndarray:
 
 
 def trace_distance(a, b) -> float:
-    """Trace distance (1/2) sum |eig(a - b)| between Hermitian operators.
+    """Trace distance (1/2) sum |eig(a - b)| of operators Hermitian within ATOL.
 
     Equals half the nuclear norm of the difference; lies in [0, 1] when a
     and b are density operators. a - b may exceed MAX_ENTRY, so it skips herm_eig.
     """
-    am = as_cmatrix(a, "a")
-    bm = as_cmatrix(b, "b")
+    am, bm = hermitian(a, "a"), hermitian(b, "b")
     if am.shape != bm.shape:
         raise DimensionMismatchError(f"shape mismatch {am.shape} vs {bm.shape}")
-    if am.shape[0] != am.shape[1]:
-        raise NonSquareError(f"expected square matrices, got shape {am.shape}")
-    for name, mat in (("a", am), ("b", bm)):
-        if not hermiticity_defect(mat) <= HERMITIAN_ATOL:
-            raise NotHermitianError(f"{name} is not Hermitian within {HERMITIAN_ATOL:.0e}")
     return 0.5 * float(np.sum(np.abs(np.linalg.eigh(hermitize(am - bm))[0])))

@@ -19,15 +19,12 @@ from .exceptions import (
     DimensionOverflowError,
     InvalidChannelError,
     InvalidProbabilityError,
-    NotHermitianError,
     NotPsdError,
     NumericalFailureError,
     UnsupportedDimensionError,
 )
 
-DENSITY_ATOL = 1e-9      # hermiticity / PSD / trace tolerance for states
-POVM_ATOL = 1e-8         # per-element PSD and completeness tolerance
-CHANNEL_ATOL = 1e-9      # trace-preservation tolerance for Kraus sets
+POVM_ATOL = 1e-8  # validity tolerance of POVMs; states and channels use linalg.ATOL
 # Input entries are bounded by linalg.MAX_ENTRY, so no sum formed here overflows.
 
 # The depolarizing noise models: "global" acts on the whole register,
@@ -49,26 +46,20 @@ class DensityOperator:
     """A d x d Hermitian, PSD, unit-trace operator."""
 
     def __init__(self, matrix):
-        mat = linalg.as_cmatrix(matrix, "density operator")
-        if mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatchError(f"density operator must be square, got {mat.shape}")
-        if not linalg.hermiticity_defect(mat) <= DENSITY_ATOL:
-            raise NotHermitianError(
-                f"density operator asymmetry exceeds {DENSITY_ATOL:.0e}"
-            )
-        mat = linalg.hermitize(mat)
+        mat = linalg.hermitian(matrix, "density operator")
         eigs = np.linalg.eigvalsh(mat)
-        if not eigs[0] >= -DENSITY_ATOL:
+        if not eigs[0] >= -linalg.ATOL:
             raise NotPsdError(f"density operator eigenvalue {eigs[0]:.3e} is negative")
         tr = float(mat.trace().real)
-        if not abs(tr - 1.0) <= DENSITY_ATOL:
+        if not abs(tr - 1.0) <= linalg.ATOL:
             raise NumericalFailureError(f"density operator trace {tr} is not 1")
         self.matrix = _frozen(mat)
         self.dim = mat.shape[0]
 
     @classmethod
     def from_pure(cls, amplitudes, normalize: bool = False) -> "DensityOperator":
-        """Rank-one projector |psi><psi| from a non-empty 1-D state vector."""
+        """Rank-one projector |psi><psi| from a non-empty 1-D state vector of
+        unit norm, or of any nonzero norm with ``normalize``."""
         vec = np.array(amplitudes, dtype=np.complex128)
         if vec.ndim != 1 or not vec.size:
             raise DimensionMismatchError(
@@ -81,11 +72,13 @@ class DensityOperator:
             exponent = np.frexp(np.abs(parts).max())[1]
             vec = np.ldexp(parts, min(1 - int(exponent), 1023)).view(np.complex128)
         vec = linalg.as_cmatrix(vec[None], "state vector")[0]
+        norm2 = float(np.vdot(vec, vec).real)  # finite: entries are at most MAX_ENTRY
         if normalize:
-            norm = np.linalg.norm(vec)
-            if norm == 0:
+            if norm2 == 0:
                 raise NumericalFailureError("cannot normalize the zero vector")
-            vec = vec / norm
+            vec = vec / np.linalg.norm(vec)
+        elif not abs(norm2 - 1.0) <= linalg.ATOL:
+            raise NumericalFailureError(f"state vector squared norm {norm2} is not 1")
         return cls(np.outer(vec, vec.conj()))
 
     @classmethod
@@ -178,7 +171,7 @@ class Ensemble:
         """Map every state to sum_j E_j rho E_j^dag, one operator at a time,
         divided by its real trace, with the same labels and priors. A checked
         channel maps states to states; the division keeps the trace defects of
-        state and channel from adding up past DENSITY_ATOL."""
+        state and channel from adding up past linalg.ATOL."""
         if channel.dim_in != self.dim:
             raise DimensionMismatchError(
                 f"channel expects dim {channel.dim_in}, state has dim {self.dim}")
@@ -206,16 +199,15 @@ class Povm:
     """
 
     def __init__(self, elements: Iterable):
-        mats = [linalg.as_cmatrix(e, f"POVM element {i}") for i, e in enumerate(elements)]
+        mats = [linalg.hermitian(e, f"POVM element {i}", POVM_ATOL)
+                for i, e in enumerate(elements)]
         if not mats:
             raise DimensionMismatchError("POVM needs at least one element")
         dim = mats[0].shape[0]
         for i, m in enumerate(mats):
             if m.shape != (dim, dim):
                 raise DimensionMismatchError(f"POVM element {i} has shape {m.shape}")
-            if not linalg.hermiticity_defect(m) <= POVM_ATOL:
-                raise NotHermitianError(f"POVM element {i} is not Hermitian")
-        stack = linalg.hermitize(np.stack(mats))
+        stack = np.stack(mats)
         vals, vecs = np.linalg.eigh(stack)
         for i, low in enumerate(vals[:, 0]):
             if not low >= -POVM_ATOL:
@@ -299,7 +291,7 @@ class KrausChannel:
         rows = self.kraus_ops.reshape(-1, self.dim_in).view(np.float64)
         g = (rows.T @ rows).reshape(self.dim_in, 2, self.dim_in, 2)
         total = g[:, 0, :, 0] + g[:, 1, :, 1] + 1j * (g[:, 0, :, 1] - g[:, 1, :, 0])
-        _check_completeness(total, CHANNEL_ATOL, InvalidChannelError)
+        _check_completeness(total, linalg.ATOL, InvalidChannelError)
 
     def __repr__(self) -> str:
         return f"KrausChannel({self.dim_in}->{self.dim_out}, {len(self.kraus_ops)} ops)"
@@ -321,7 +313,7 @@ def born_distribution(ensemble: Ensemble, povm: Povm) -> np.ndarray:
 
     Returns an (|X|, m) array whose row x is the outcome distribution of
     measuring state rho^x, clipped to [0, 1]; the POVM's completeness check
-    bounds each row sum's distance from 1 by POVM_ATOL + DENSITY_ATOL.
+    bounds each row sum's distance from 1 by POVM_ATOL + linalg.ATOL.
     """
     traces = conditional_traces(ensemble.state_stack(), povm.factors)
     return np.clip(traces.real, 0.0, 1.0)

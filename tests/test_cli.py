@@ -225,7 +225,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("spec", [
         {"kind": "global", "p": 0.3},
-        # sum E^dag E - I = 0.9e-9 I, within CHANNEL_ATOL = 1e-9.
+        # sum E^dag E - I = 0.9e-9 I, within linalg.ATOL = 1e-9.
         {"kind": "kraus", "kraus_ops": [[[[math.sqrt(1 + 0.9e-9), 0], [0, 0]],
                                          [[0, 0], [math.sqrt(1 + 0.9e-9), 0]]]]},
     ])
@@ -282,7 +282,12 @@ class TestVerify:
          {"kind": "kraus", "kraus_ops": [[[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]]]},
          "invalid kraus channel: Kraus operator 0 has an entry that is NaN, Inf "
          "or above 2^256 in magnitude"),
-    ], ids=["density_matrix", "kraus"])
+        (["--ensemble", "{}"],
+         {"dimension": 2, "symbols": [{"label": "big", "state": {
+             "kind": "pure_vector", "amplitudes": [[2.0 ** 200, 0], [1, 0]],
+             "normalize": False}}]},
+         "symbol 'big': invalid state (state vector squared norm"),
+    ], ids=["density_matrix", "kraus", "pure_vector"])
     def test_overflowing_entries_exit_2_without_warnings(self, tmp_path, capsys,
                                                          inputs, spec, named):
         path = tmp_path / "in.json"

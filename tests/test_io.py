@@ -302,11 +302,15 @@ class TestSchemaFuzz:
             assert parse_channel_config(cfg, 2).dim_in == 2
 
     def test_overflowing_entry_rejected(self):
-        # 1e308 i on the diagonal must fail the Hermiticity test: an asymmetry
-        # measure that overflowed to NaN would let it pass.
-        cfg = replaced(FUZZ_ENSEMBLE, ("symbols", 2, "state", "rows", 0, 0, 1), 1e308)
-        with pytest.raises(EnsembleConfigError, match="mixed"):
-            parse_ensemble_config(cfg)
+        # 1e308 i on the diagonal is above the entry bound, which rejects it
+        # before any Hermiticity measure runs; 1e70 i is inside the bound and
+        # must fail the Hermiticity test.
+        path = ("symbols", 2, "state", "rows", 0, 0, 1)
+        for value, message in [(1e308, "density operator has an entry that is NaN, Inf "
+                                        "or above 2\\^256 in magnitude"),
+                               (1e70, "density operator is not Hermitian")]:
+            with pytest.raises(EnsembleConfigError, match=f"^symbol 'mixed': .*{message}"):
+                parse_ensemble_config(replaced(FUZZ_ENSEMBLE, path, value))
 
     @pytest.mark.parametrize("cfg, path, value, valid", [
         # Normalizing a finite vector with a 1e308 entry gives a valid state.

@@ -3,10 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from qleak import inv_sqrt_psd, trace_distance
-from qleak.linalg import MAX_ENTRY, herm_eig, hermiticity_defect, hermitize
+from qleak import DensityOperator, KrausChannel, inv_sqrt_psd, trace_distance
+from qleak.linalg import ATOL, MAX_ENTRY, herm_eig, hermiticity_defect, hermitize
 from qleak.exceptions import (
     DimensionMismatchError,
+    InvalidChannelError,
     NonSquareError,
     NotHermitianError,
     NotPsdError,
@@ -169,3 +170,35 @@ class TestTraceDistance:
             for value in (2 * MAX_ENTRY, np.nan, np.inf, -np.inf):
                 with pytest.raises(NumericalFailureError, match="^b has an entry"):
                     trace_distance(np.eye(2) / 2, np.diag([value, 0.0]))
+
+
+def _asymmetric_half(t):
+    """diag(1/2, 1/2) with t/sqrt(2) above the diagonal only: its
+    Hermiticity defect is t, since its Frobenius norm is below 1."""
+    return np.diag([0.5, 0.5]) + np.array([[0.0, t / np.sqrt(2)], [0.0, 0.0]])
+
+
+# Each check of the one tolerance, given the size t of the defect it measures.
+ATOL_CHECKS = {
+    "density_hermiticity": (lambda t: DensityOperator(_asymmetric_half(t)), NotHermitianError),
+    "density_eigenvalue": (lambda t: DensityOperator(np.diag([1.0 + t, -t])), NotPsdError),
+    "density_trace": (lambda t: DensityOperator(np.diag([0.5, 0.5 + t])),
+                      NumericalFailureError),
+    "trace_distance_hermiticity": (lambda t: trace_distance(_asymmetric_half(t), KET0),
+                                   NotHermitianError),
+    "inv_sqrt_psd_floor": (lambda t: inv_sqrt_psd(np.diag([1.0, -t])), NotPsdError),
+    "kraus_completeness": (lambda t: KrausChannel([np.sqrt(1.0 + t) * np.eye(2)]),
+                           InvalidChannelError),
+}
+
+
+@pytest.mark.parametrize("check", ATOL_CHECKS)
+@pytest.mark.parametrize("factor", [0.9, 1.1], ids=["inside", "outside"])
+def test_one_tolerance_boundary(check, factor):
+    build, error = ATOL_CHECKS[check]
+    assert ATOL == 1e-9
+    if factor < 1:
+        build(factor * ATOL)
+    else:
+        with pytest.raises(error):
+            build(factor * ATOL)

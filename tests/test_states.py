@@ -235,6 +235,10 @@ class TestPovm:
                 Povm.from_factors(big[:, :, None])
             with pytest.raises(InvalidChannelError, match="completeness defect"):
                 KrausChannel([big, np.eye(2)])
+            # A vector inside the bound whose projector is not: its norm is
+            # rejected before the projector is formed.
+            with pytest.raises(NumericalFailureError, match="^state vector squared norm"):
+                DensityOperator.from_pure([2.0 ** 200, 1.0])
             for value in (2 * MAX_ENTRY, np.nan, np.inf, -np.inf):
                 bad = np.diag([value, 0.0])
                 for build, named in [
