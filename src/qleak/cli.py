@@ -204,6 +204,8 @@ def _cmd_compute(run: _Run) -> int:
         "best_restart": report.best_restart,
         "restart_leakages": report.restart_leakages,
         "converged": report.converged_flags,
+        "stop_reasons": [trace.stop_reason for trace in report.traces],
+        "backtracks": [trace.backtracks for trace in report.traces],
         "optimal_povm": [matrix_to_pairs(el) for el in report.optimal_povm],
     }, manifest)
     for path, trace in zip(trace_paths, report.traces):

@@ -6,6 +6,9 @@ advantage over all measurements,
     log2( sup_POVM  sum_y  max_x  tr(rho^x F_y) ),
 
 optimized here by projected subgradient ascent with random restarts. The
+restarts of a solve advance together as one stack of factors, one step
+trial each per pass, and each restart leaves the stack when it stops; they
+never interact, so every restart computes what it would compute alone. The
 value never depends on the prior, is zero exactly for indistinguishable
 ensembles, and is capped by min(log2 |X|, log2 d): tr(rho^x F_y) <= tr F_y,
 so the objective is at most tr I = d (the paper states 2 log2 d). Allowing
@@ -39,6 +42,9 @@ from .states import (
     Ensemble,
     Povm,
     KrausChannel,
+    _columns,
+    _factors,
+    _products_and_traces,
     born_distribution,
     conditional_traces,
     depolarizing,
@@ -94,13 +100,22 @@ def _check_count(name: str, value, low: int):
 
 @dataclass
 class ConvergenceTrace:
-    """Per-iteration history of one restart."""
+    """Per-iteration history of one restart, and why it stopped.
+
+    stop_reason is "eps" (the objective changed by less than eps),
+    "step_floor" (no step down to MU_MIN kept the objective, so the iterate
+    was held; this also counts as converged) or "max_iters" (the cap).
+    backtracks counts the step halvings: the step trials beyond the first
+    of each iteration.
+    """
 
     iterations: list[int] = field(default_factory=list)
     objectives: list[float] = field(default_factory=list)
     leakage_bits: list[float] = field(default_factory=list)
     step_sizes: list[float] = field(default_factory=list)
     converged: bool = False
+    stop_reason: str = ""
+    backtracks: int = 0
 
     def append(self, iteration: int, objective: float, bits: float, step: float):
         self.iterations.append(iteration)
@@ -130,8 +145,9 @@ class LeakageReport:
         return [t.converged for t in self.traces]
 
 
-def _stack_objective(traces: np.ndarray) -> float:
-    return float(traces.max(axis=0).sum())
+def _objectives(traces: np.ndarray) -> np.ndarray:
+    """sum_y max_x of real traces (..., |X|, m), one value per leading index."""
+    return traces.max(axis=-2).sum(axis=-1)
 
 
 def _bits(objective: float) -> float:
@@ -152,24 +168,33 @@ def leakage_objective(ensemble: Ensemble, povm: Povm):
         check keeps the objective within [1, |X|] up to |X| * POVM_ATOL.
     """
     traces = conditional_traces(ensemble.state_stack(), povm.factors).real
-    objective = _stack_objective(traces)
+    objective = float(_objectives(traces))
     winners = [ensemble.symbols[i] for i in traces.argmax(axis=0)]
     return objective, _bits(objective), winners
 
 
-def _step(states: np.ndarray, factors: np.ndarray, mu: float,
-          traces: np.ndarray) -> np.ndarray:
-    """One ascent step on the factors; traces are those of the input."""
-    dim = states.shape[1]
-    picked = states[traces.argmax(axis=0)] @ factors        # rho^{x*(y)} H_y
-    drift = np.tensordot(picked, factors.conj(),
-                         axes=([0, 2], [0, 2]))             # sum_z rho^{x*(z)} F_z
-    grown = factors + mu * (picked - drift.conj().T @ factors)  # G_y^dag H_y
-    normalizer = np.tensordot(grown, grown.conj(), axes=([0, 2], [0, 2]))
-    whitener = linalg.inv_sqrt_psd(
-        normalizer, WHITENING_REG * float(normalizer.trace().real) / dim
-    )
-    return whitener @ grown
+def _evaluate(states: np.ndarray, columns: np.ndarray, rank: int = 1):
+    """Score a stack of iterates, columns (R, d, m r) with factors of rank r:
+    returns the objectives (R,) and the winning products rho^{x*(y)} H_y
+    (R, d, m r) that the next step tilts toward, both from the one trace
+    kernel."""
+    products, traces = _products_and_traces(states, columns, rank)
+    traces = traces.real
+    winners = traces.argmax(axis=1)[:, None, None, :, None]
+    picked = np.take_along_axis(products, winners, axis=1).reshape(columns.shape)
+    return _objectives(traces), picked
+
+
+def _step(picked: np.ndarray, columns: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """One ascent step of a stack of iterates (see _evaluate), each with its
+    own step size mu[i]. Returns the new columns."""
+    drift = picked @ columns.conj().swapaxes(1, 2)              # sum_z rho^{x*(z)} F_z
+    grown = columns + mu[:, None, None] * (
+        picked - drift.conj().swapaxes(1, 2) @ columns)         # G_y^dag H_y
+    normalizer = grown @ grown.conj().swapaxes(1, 2)
+    regs = WHITENING_REG * np.trace(normalizer, axis1=1, axis2=2).real / columns.shape[1]
+    whiteners = [linalg.inv_sqrt_psd(s, reg) for s, reg in zip(normalizer, regs)]
+    return np.stack(whiteners) @ grown
 
 
 def ascent_step(ensemble: Ensemble, povm: Povm, mu: float) -> Povm:
@@ -188,40 +213,10 @@ def ascent_step(ensemble: Ensemble, povm: Povm, mu: float) -> Povm:
     """
     if mu <= 0.0:
         raise ValueError("step size must be positive")
-    states = ensemble.state_stack()
-    traces = conditional_traces(states, povm.factors).real
-    return Povm.from_factors(_step(states, povm.factors, mu, traces))
-
-
-def _run_restart(states: np.ndarray, dim: int, cfg: AscentConfig,
-                 restart_seed: int):
-    """Ascend from one random initialization; returns (trace, final factors)."""
-    factors = random_povm(dim, dim * dim, restart_seed).factors
-    traces_xy = conditional_traces(states, factors).real
-    objective = _stack_objective(traces_xy)
-    trace = ConvergenceTrace()
-    trace.append(0, objective, _bits(objective), 0.0)
-    for iteration in range(1, cfg.max_iters + 1):
-        mu_trial = cfg.mu
-        while True:
-            candidate = _step(states, factors, mu_trial, traces_xy)
-            cand_traces = conditional_traces(states, candidate).real
-            cand_objective = _stack_objective(cand_traces)
-            if cand_objective >= objective - BACKTRACK_SLACK:
-                break
-            if mu_trial <= MU_MIN:
-                # No step size improves: hold position, which both keeps the
-                # trace monotone and triggers termination below.
-                candidate, cand_traces, cand_objective = factors, traces_xy, objective
-                break
-            mu_trial = max(mu_trial / 2.0, MU_MIN)
-        change = abs(cand_objective - objective)
-        factors, traces_xy, objective = candidate, cand_traces, cand_objective
-        trace.append(iteration, objective, _bits(objective), mu_trial)
-        if change < cfg.eps:
-            trace.converged = True
-            break
-    return trace, factors
+    columns = _columns(povm.factors)[None]
+    picked = _evaluate(ensemble.state_stack(), columns, povm.factors.shape[2])[1]
+    stepped = _step(picked, columns, np.array([float(mu)]))
+    return Povm.from_factors(_factors(stepped[0], len(povm)))
 
 
 def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
@@ -233,8 +228,12 @@ def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
     than cfg.eps (halving the step whenever it would lower the objective,
     so the trace never decreases), and the best final value wins. Hitting
     max_iters is not an error; the restart is just flagged unconverged.
-    Restarts run one after another; ``threads`` is accepted for
-    compatibility and ignored.
+
+    All restarts advance together as one stack: each pass makes one step
+    trial for every restart still running, and a restart leaves the stack
+    when it stops. Restarts do not interact; each one computes exactly what
+    it would compute alone. ``threads`` is accepted for compatibility and
+    ignored.
 
     The prior never enters the objective, so reports are bit-identical
     under reweighted priors for the same seed. The completeness check of
@@ -242,20 +241,65 @@ def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
     verify_properties' "ceiling" check is the one ceiling test.
     """
     cfg = cfg or AscentConfig()
-    dim = ensemble.dim
-    states = ensemble.state_stack()
-    results = [_run_restart(states, dim, cfg, cfg.seed + i)
-               for i in range(cfg.restarts)]
+    dim, states = ensemble.dim, ensemble.state_stack()
+    outcomes = dim * dim
+    columns = np.stack([_columns(random_povm(dim, outcomes, cfg.seed + i).factors)
+                        for i in range(cfg.restarts)])
+    objectives, picked = _evaluate(states, columns)   # rank-one starts
+    history = [ConvergenceTrace() for _ in range(cfg.restarts)]
+    for trace, objective in zip(history, objectives.tolist()):
+        trace.append(0, objective, _bits(objective), 0.0)
+    finals = [None] * cfg.restarts
+    rows = np.arange(cfg.restarts)       # restart index of each stack row
+    mu = np.full(cfg.restarts, float(cfg.mu))
 
-    traces = [trace for trace, _ in results]
-    finals = [trace.leakage_bits[-1] for trace in traces]
-    best = int(np.argmax(finals))
+    while len(rows):
+        candidates = _step(picked, columns, mu)
+        cand_objectives, cand_picked = _evaluate(states, candidates)
+        accept = cand_objectives >= objectives - BACKTRACK_SLACK
+        # A trial that fails at the step floor holds the iterate in place,
+        # which keeps the trace monotone and stops the restart. Any other
+        # failed trial halves the step and tries again in the next pass.
+        held = ~accept & (mu <= MU_MIN)
+        iterated = accept | held
+        if accept.all():
+            columns, picked = candidates, cand_picked
+        else:
+            columns[accept], picked[accept] = candidates[accept], cand_picked[accept]
+        changes = np.where(accept, np.abs(cand_objectives - objectives), 0.0)
+        objectives = np.where(accept, cand_objectives, objectives)
+
+        stopped = np.zeros(len(rows), dtype=bool)
+        for i in np.flatnonzero(iterated):
+            trace = history[rows[i]]
+            iteration = trace.iterations[-1] + 1
+            objective = float(objectives[i])
+            trace.append(iteration, objective, _bits(objective), float(mu[i]))
+            if changes[i] < cfg.eps:
+                trace.converged = True
+                trace.stop_reason = "step_floor" if held[i] else "eps"
+            elif iteration == cfg.max_iters:
+                trace.stop_reason = "max_iters"
+            else:
+                continue
+            stopped[i] = True
+            finals[rows[i]] = columns[i].copy()
+        for i in np.flatnonzero(~iterated):
+            history[rows[i]].backtracks += 1
+        mu = np.where(iterated, cfg.mu, np.maximum(mu / 2.0, MU_MIN))
+        if stopped.any():
+            running = ~stopped
+            rows, mu, objectives = rows[running], mu[running], objectives[running]
+            columns, picked = columns[running], picked[running]
+
+    restart_leakages = [trace.leakage_bits[-1] for trace in history]
+    best = int(np.argmax(restart_leakages))
     return LeakageReport(
-        leakage_bits=finals[best],
-        optimal_povm=Povm.from_factors(results[best][1]),
+        leakage_bits=restart_leakages[best],
+        optimal_povm=Povm.from_factors(_factors(finals[best], outcomes)),
         best_restart=best,
-        traces=traces,
-        restart_leakages=finals,
+        traces=history,
+        restart_leakages=restart_leakages,
         ceiling_bits=min(math.log2(ensemble.size), math.log2(dim)),
     )
 

@@ -49,12 +49,19 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.linalg.norm(m - m.conj().T) / max(1.0, np.linalg.norm(m)))
 
 
-def hermitian(m, name: str, atol: float = ATOL) -> np.ndarray:
-    """The Hermitian part of m after `as_cmatrix`; raises NonSquareError or
-    NotHermitianError unless m is square with a Hermiticity defect <= atol."""
+def _square_cmatrix(m, name: str) -> np.ndarray:
+    """`as_cmatrix`, then NonSquareError unless the matrix is square: the one
+    squareness test."""
     arr = as_cmatrix(m, name)
     if arr.shape[0] != arr.shape[1]:
         raise NonSquareError(f"{name} must be square, got shape {arr.shape}")
+    return arr
+
+
+def hermitian(m, name: str, atol: float = ATOL) -> np.ndarray:
+    """The Hermitian part of m after `as_cmatrix`; raises NonSquareError or
+    NotHermitianError unless m is square with a Hermiticity defect <= atol."""
+    arr = _square_cmatrix(m, name)
     if not hermiticity_defect(arr) <= atol:
         raise NotHermitianError(f"{name} is not Hermitian within {atol:.0e}")
     return hermitize(arr)
@@ -77,9 +84,7 @@ def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
     ------
     NonSquareError, NumericalFailureError
     """
-    arr = as_cmatrix(m)
-    if arr.shape[0] != arr.shape[1]:
-        raise NonSquareError(f"expected square matrix, got shape {arr.shape}")
+    arr = _square_cmatrix(m, "matrix")
     try:
         vals, vecs = np.linalg.eigh(hermitize(arr))
     except np.linalg.LinAlgError as exc:

@@ -299,13 +299,36 @@ class KrausChannel:
 
 def conditional_traces(states: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """tr(rho^x H_y H_y^dag) for a state stack (|X|, d, d) and POVM factors
-    (m, d, r), as a complex (|X|, m) array; the imaginary part is roundoff.
-    States and POVMs meet only here, so this is their one dimension check."""
-    if states.shape[2] != factors.shape[1]:
+    (m, d, r), as a complex (|X|, m) array; the imaginary part is roundoff."""
+    return _products_and_traces(states, _columns(factors), factors.shape[2])[1]
+
+
+def _columns(factors: np.ndarray) -> np.ndarray:
+    """POVM factors (m, d, r) side by side as one (d, m r) matrix: H_y's r
+    columns are block y. This is the layout of the trace kernel's input."""
+    return factors.transpose(1, 0, 2).reshape(factors.shape[1], -1)
+
+
+def _factors(columns: np.ndarray, outcomes: int) -> np.ndarray:
+    """The inverse of _columns for a POVM with the given number of outcomes."""
+    return columns.reshape(len(columns), outcomes, -1).transpose(1, 0, 2)
+
+
+def _products_and_traces(states: np.ndarray, columns: np.ndarray, rank: int):
+    """The one trace kernel, on the _columns (d, m r) of one POVM with factors
+    of rank r, or on a leading stack of them. Returns the products rho^x H as
+    (..., |X|, d, m, r) and the complex traces tr(rho^x H_y H_y^dag) as
+    (..., |X|, m). Each POVM of a stack gets the same matrix product as when
+    it is alone, so its values do not depend on the others. States and POVMs
+    meet only here, so this is their one dimension check."""
+    if states.shape[2] != columns.shape[-2]:
         raise DimensionMismatchError(
-            f"ensemble dim {states.shape[2]} != POVM dim {factors.shape[1]}")
-    products = np.tensordot(states, factors, axes=([2], [1]))  # (x, i, y, k)
-    return (products * factors.conj().transpose(1, 0, 2)).sum(axis=(1, 3))
+            f"ensemble dim {states.shape[2]} != POVM dim {columns.shape[-2]}")
+    lead, (dim, width) = columns.shape[:-2], columns.shape[-2:]
+    blocks = (dim, width // rank, rank)
+    products = (states.reshape(-1, dim) @ columns).reshape(lead + (len(states),) + blocks)
+    traces = (products * columns.conj().reshape(lead + (1,) + blocks)).sum(axis=(-3, -1))
+    return products, traces
 
 
 def born_distribution(ensemble: Ensemble, povm: Povm) -> np.ndarray:

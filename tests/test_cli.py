@@ -48,6 +48,20 @@ class TestCompute:
         traces = sorted(out.glob("trace_restart_*.csv"))
         assert len(traces) == 4
 
+    def test_stop_reasons_and_backtracks(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["compute", "--ensemble", "builtin:index4", "--restarts", "3",
+                     "--mu", "10", "--out", str(out)]) == 0
+        result = read_result(out)
+        report = leakage.compute_leakage(
+            encode_index(4), leakage.AscentConfig(mu=10.0, restarts=3))
+        assert result["stop_reasons"] == [t.stop_reason for t in report.traces]
+        assert result["backtracks"] == [t.backtracks for t in report.traces]
+        assert set(result["stop_reasons"]) <= {"eps", "step_floor", "max_iters"}
+        assert sum(result["backtracks"]) > 0
+        header = (out / "trace_restart_00.csv").read_text().splitlines()[1]
+        assert header == "iteration,objective,leakage_bits,step_size"
+
     def test_manifest_records_environment(self, tmp_path):
         out = tmp_path / "run"
         assert main(["compute", "--ensemble", "builtin:index2",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -264,6 +265,80 @@ class TestComputeLeakage:
         report = compute_leakage(e, AscentConfig(restarts=2, seed=0))
         assert report.ceiling_bits == 1.0
         assert report.leakage_bits <= 1.0 + 1e-6
+
+
+class TestStackedRestarts:
+    """All restarts of a solve advance as one stack, and each restart still
+    computes exactly what it computes alone."""
+
+    CASES = {
+        "index8": (lambda: encode_index(8), AscentConfig(restarts=3, seed=0)),
+        # Restarts leave the stack at different passes: one by eps, the
+        # others at the cap.
+        "capped qubits": (lambda: random_ensemble(2, 4, np.random.default_rng(4)),
+                          AscentConfig(restarts=4, max_iters=150, eps=1e-10, seed=0)),
+        "capped qutrits": (lambda: random_ensemble(3, 3, np.random.default_rng(0)),
+                           AscentConfig(restarts=3, max_iters=60, seed=2)),
+        "index4 backtracking": (lambda: encode_index(4),
+                                AscentConfig(mu=10.0, restarts=3, seed=0)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_restart_matches_a_solo_solve(self, case):
+        make, cfg = self.CASES[case]
+        ensemble = make()
+        report = compute_leakage(ensemble, cfg)
+        for i, trace in enumerate(report.traces):
+            alone = compute_leakage(
+                ensemble, dataclasses.replace(cfg, restarts=1, seed=cfg.seed + i))
+            assert alone.traces[0].rows() == trace.rows()
+            assert alone.traces[0] == trace   # converged, stop reason, backtracks
+            if i == report.best_restart:
+                assert np.array_equal(alone.optimal_povm.factors,
+                                      report.optimal_povm.factors)
+
+    def test_capped_case_mixes_stop_reasons(self):
+        make, cfg = self.CASES["capped qubits"]
+        reasons = [t.stop_reason for t in compute_leakage(make(), cfg).traces]
+        assert set(reasons) == {"eps", "max_iters"}
+
+    @pytest.mark.parametrize("ensemble, cfg", [
+        (encode_index(4), AscentConfig(mu=10.0, restarts=3, max_iters=300, seed=0)),
+        (flat_ensemble(), AscentConfig(restarts=2, seed=0)),
+        (encode_amplitude_3bit(), AscentConfig(restarts=2, max_iters=40, seed=1)),
+    ])
+    def test_one_whitening_per_step_trial(self, monkeypatch, ensemble, cfg):
+        calls = []
+        whiten = leakage.linalg.inv_sqrt_psd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return whiten(*args, **kwargs)
+
+        monkeypatch.setattr(leakage.linalg, "inv_sqrt_psd", counted)
+        report = compute_leakage(ensemble, cfg)
+        # One per random initialization, one per iteration, one per halving.
+        assert len(calls) == cfg.restarts + sum(
+            t.iterations[-1] + t.backtracks for t in report.traces)
+
+    def test_stop_reasons(self):
+        converged = compute_leakage(encode_index(4), AscentConfig(restarts=2, seed=0))
+        assert [t.stop_reason for t in converged.traces] == ["eps", "eps"]
+        capped = compute_leakage(encode_amplitude_3bit(),
+                                 AscentConfig(restarts=2, max_iters=3, seed=0))
+        assert [t.stop_reason for t in capped.traces] == ["max_iters"] * 2
+        assert capped.converged_flags == [False, False]
+
+    def test_hold_at_the_step_floor_counts_as_converged(self):
+        # No step raises the objective of an indistinguishable ensemble, and
+        # roundoff lowers it, so every restart halves its step down to MU_MIN.
+        report = compute_leakage(flat_ensemble(), AscentConfig(restarts=2, seed=0))
+        for trace in report.traces:
+            assert trace.stop_reason == "step_floor" and trace.converged
+            assert trace.iterations == [0, 1]
+            assert trace.step_sizes[-1] == leakage.MU_MIN
+            assert trace.objectives[1] == trace.objectives[0]
+            assert trace.backtracks == math.ceil(math.log2(0.1 / leakage.MU_MIN))
 
 
 class TestTwoStateLeakage:

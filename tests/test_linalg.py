@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qleak import DensityOperator, KrausChannel, inv_sqrt_psd, trace_distance
+from qleak import linalg
 from qleak.linalg import ATOL, MAX_ENTRY, herm_eig, hermiticity_defect, hermitize
 from qleak.exceptions import (
     DimensionMismatchError,
@@ -55,6 +56,14 @@ class TestHermEig:
     def test_non_square(self):
         with pytest.raises(NonSquareError):
             herm_eig(np.zeros((2, 3)))
+
+    def test_non_square_message_is_the_hermiticity_checks(self):
+        with pytest.raises(NonSquareError) as eig:
+            herm_eig(np.zeros((2, 3)))
+        with pytest.raises(NonSquareError) as check:
+            linalg.hermitian(np.zeros((2, 3)), "matrix")
+        assert str(eig.value) == str(check.value) == \
+            "matrix must be square, got shape (2, 3)"
 
     def test_non_finite(self):
         with pytest.raises(NumericalFailureError):
