@@ -201,6 +201,8 @@ def _cmd_compute(run: _Run) -> int:
         "leakage_bits": report.leakage_bits,
         "objective": report.traces[report.best_restart].objectives[-1],
         "ceiling_bits": report.ceiling_bits,
+        "upper_bound_bits": report.upper_bound_bits,
+        "gap_bits": report.gap_bits,
         "best_restart": report.best_restart,
         "restart_leakages": report.restart_leakages,
         "converged": report.converged_flags,
@@ -213,7 +215,8 @@ def _cmd_compute(run: _Run) -> int:
                    ["iteration", "objective", "leakage_bits", "step_size"], trace.rows())
     converged = sum(report.converged_flags)
     print(f"leakage_bits={report.leakage_bits:.6f} "
-          f"(ceiling {report.ceiling_bits:.6f}), "
+          f"in [{report.leakage_bits:.9f}, {report.upper_bound_bits:.9f}] "
+          f"(gap {report.gap_bits:.1e} bits, ceiling {report.ceiling_bits:.6f}), "
           f"{converged}/{len(report.traces)} restarts converged "
           f"-> {result_path}")
     return EXIT_OK
@@ -232,14 +235,22 @@ def _cmd_noise_sweep(run: _Run) -> int:
         qubit_count(run.ensemble.dim)  # reject the dimension before any solve
 
     (path,) = run.start("noise_sweep.csv")
-    q0 = compute_leakage(run.ensemble, run.cfg).leakage_bits
+    report = compute_leakage(run.ensemble, run.cfg)
+    q0 = report.leakage_bits
     grid = np.linspace(args.p_start, args.p_end, args.p_steps)
+    solved: list[float] = []
+    curve = noise_curve(run.ensemble, args.channel, grid, run.cfg, q0,
+                        report=report, solved=solved)
     rows = [(p, direct, formula, direct / q0 if q0 > 1e-12 else 1.0)
-            for p, direct, formula in noise_curve(run.ensemble, args.channel, grid, run.cfg, q0)]
+            for p, direct, formula in curve]
     manifest = run.manifest(channel=args.channel, p_start=args.p_start, p_end=args.p_end,
-                            p_steps=args.p_steps, noiseless_leakage_bits=q0)
+                            p_steps=args.p_steps, noiseless_leakage_bits=q0,
+                            noiseless_upper_bound_bits=report.upper_bound_bits,
+                            solved_p=solved)
     _write_csv(path, manifest, ["p", "direct_leakage_bits", "formula_bits", "ratio"], rows)
-    print(f"noiseless leakage_bits={q0:.6f}, {len(rows)} grid points -> {path}")
+    print(f"noiseless leakage_bits={q0:.6f} "
+          f"(certified <= {report.upper_bound_bits:.6f}), {len(rows)} grid points, "
+          f"{len(solved)} solved directly -> {path}")
     return EXIT_OK
 
 

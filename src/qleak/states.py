@@ -175,7 +175,7 @@ class Ensemble:
         if channel.dim_in != self.dim:
             raise DimensionMismatchError(
                 f"channel expects dim {channel.dim_in}, state has dim {self.dim}")
-        mapped = sum(op @ self._stack @ op.conj().T for op in channel.kraus_ops)
+        mapped = _kraus_sum(channel.kraus_ops, self._stack)
         traces = np.trace(mapped, axis1=1, axis2=2).real
         out = Ensemble.__new__(Ensemble)
         out.symbols, out.priors = self.symbols, self.priors
@@ -295,6 +295,12 @@ class KrausChannel:
 
     def __repr__(self) -> str:
         return f"KrausChannel({self.dim_in}->{self.dim_out}, {len(self.kraus_ops)} ops)"
+
+
+def _kraus_sum(kraus_ops: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """sum_j E_j M E_j^dag of a matrix or a stack of matrices (the last two
+    axes), one Kraus operator at a time, without renormalization."""
+    return sum(op @ matrices @ op.conj().T for op in kraus_ops)
 
 
 def conditional_traces(states: np.ndarray, factors: np.ndarray) -> np.ndarray:

@@ -62,6 +62,17 @@ class TestCompute:
         header = (out / "trace_restart_00.csv").read_text().splitlines()[1]
         assert header == "iteration,objective,leakage_bits,step_size"
 
+    def test_certified_interval(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["compute", "--ensemble", "builtin:index4", "--restarts", "2",
+                     "--out", str(out)]) == 0
+        result = read_result(out)
+        report = leakage.compute_leakage(encode_index(4), leakage.AscentConfig(restarts=2))
+        assert result["upper_bound_bits"] == report.upper_bound_bits
+        assert result["gap_bits"] == report.gap_bits < 1e-6
+        assert result["leakage_bits"] <= 2.0 <= result["upper_bound_bits"] + 1e-12
+        assert f"{result['upper_bound_bits']:.9f}]" in capsys.readouterr().out
+
     def test_manifest_records_environment(self, tmp_path):
         out = tmp_path / "run"
         assert main(["compute", "--ensemble", "builtin:index2",
@@ -174,6 +185,49 @@ class TestNoiseSweep:
         for line in lines:
             _, direct, formula, _ = (float(v) for v in line.split(","))
             assert direct == pytest.approx(formula, abs=2e-3)
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Counts compute_leakage calls from the CLI and from noise_curve."""
+        calls = []
+        original = leakage.compute_leakage
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "compute_leakage", counted)
+        monkeypatch.setattr(leakage, "compute_leakage", counted)
+        return calls
+
+    @pytest.mark.parametrize("channel", ["global", "local"])
+    def test_index4_solves_once(self, tmp_path, solves, channel):
+        out = tmp_path / "sweep"
+        assert main(["noise-sweep", "--ensemble", "builtin:index4", "--channel", channel,
+                     "--p-steps", "11", "--restarts", "2", "--out", str(out)]) == 0
+        assert len(solves) == 1
+        lines = (out / "noise_sweep.csv").read_text().splitlines()
+        config = json.loads(lines[0][len("# manifest: "):])["config"]
+        assert config["solved_p"] == []
+        assert config["noiseless_upper_bound_bits"] >= 2.0 - 1e-12
+        assert lines[1] == "p,direct_leakage_bits,formula_bits,ratio"
+        for line in lines[2:]:
+            p, direct, _, _ = (float(v) for v in line.split(","))
+            exact = (math.log2(p + 4.0 * (1.0 - p)) if channel == "global"
+                     else 2.0 + 2.0 * math.log2(1.0 - p / 2.0))
+            assert direct == pytest.approx(exact, abs=1e-6)
+
+    def test_amplitude3_local_solves_its_wide_points(self, tmp_path, solves):
+        out = tmp_path / "sweep"
+        assert main(["noise-sweep", "--ensemble", "builtin:amplitude3", "--channel",
+                     "local", "--p-steps", "3", "--restarts", "2", "--out", str(out)]) == 0
+        lines = (out / "noise_sweep.csv").read_text().splitlines()
+        config = json.loads(lines[0][len("# manifest: "):])["config"]
+        # The noiseless gap is about 1e-4 bits, so p = 0 and 0.5 are solved
+        # again; at p = 1 every state is I/8 and the interval closes.
+        assert config["solved_p"] == [0.0, 0.5]
+        assert len(solves) == 3
+        assert [line.split(",")[0] for line in lines[2:]] == ["0.0", "0.5", "1.0"]
 
     def test_invalid_grid(self, tmp_path):
         assert main(["noise-sweep", "--ensemble", "builtin:index2",

@@ -12,6 +12,7 @@ from qleak import (
     ascent_step,
     brute_force_leakage,
     compute_leakage,
+    depolarizing,
     depolarizing_global,
     encode_amplitude_3bit,
     encode_index,
@@ -461,6 +462,127 @@ class TestOrbitOracle:
         ensemble = cyclic_orbit(16, 24, np.random.default_rng(16))
         report = compute_leakage(ensemble, AscentConfig(restarts=1, max_iters=200, seed=0))
         assert report.leakage_bits <= orbit_leakage(ensemble) + 1e-9
+
+class TestCertificate:
+    """Every report brackets the leakage: leakage_bits is a feasible POVM's
+    value and upper_bound_bits is log2 tr Y for a dual point Y >= rho^x."""
+
+    @pytest.mark.parametrize("name, ensemble, cfg", [
+        ("amplitude3", encode_amplitude_3bit(), AscentConfig(restarts=3, seed=0)),
+        ("trine", trine_ensemble(), AscentConfig(restarts=2, seed=0)),
+        ("cyclic (4, 6)", cyclic_orbit(4, 6, np.random.default_rng(4)),
+         AscentConfig(restarts=2, seed=0)),
+        ("cyclic (8, 12)", cyclic_orbit(8, 12, np.random.default_rng(8)),
+         AscentConfig(restarts=2, seed=0)),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_brackets_the_orbit_oracle(self, name, ensemble, cfg):
+        report = compute_leakage(ensemble, cfg)
+        exact = orbit_leakage(ensemble)
+        assert report.leakage_bits <= exact + 1e-12, name
+        assert exact <= report.upper_bound_bits + 1e-12, name
+        assert report.gap_bits == report.upper_bound_bits - report.leakage_bits >= 0.0
+
+    def test_brackets_two_state_leakage(self):
+        rng = np.random.default_rng(5)
+        for i in range(20):
+            r0, r1 = random_pure(2, rng), random_pure(2, rng)
+            report = compute_leakage(Ensemble(["a", "b"], [r0, r1]),
+                                     AscentConfig(restarts=2, seed=i))
+            exact = two_state_leakage(r0, r1)
+            assert report.leakage_bits <= exact + 1e-12 <= report.upper_bound_bits + 2e-12
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_index_gap_is_below_the_transfer_tolerance(self, dim):
+        report = compute_leakage(encode_index(dim), AscentConfig(restarts=2, seed=0))
+        assert report.leakage_bits <= math.log2(dim) + 1e-12 <= report.upper_bound_bits + 2e-12
+        assert report.gap_bits < leakage.TRANSFER_GAP_BITS
+
+    def test_dual_dominates_every_state(self):
+        ensemble = random_ensemble(3, 4, np.random.default_rng(11))
+        report = compute_leakage(ensemble, AscentConfig(restarts=2, seed=0))
+        assert report.dual.shape == (3, 3)
+        assert np.array_equal(report.dual, report.dual.conj().T)
+        slack = np.linalg.eigvalsh(report.dual - ensemble.state_stack())[:, 0]
+        assert slack.min() >= -1e-12
+        assert math.log2(np.trace(report.dual).real) == pytest.approx(
+            report.upper_bound_bits, abs=1e-12)
+
+    def test_adds_no_whitening_or_random_povm(self, monkeypatch):
+        calls = {"inv_sqrt_psd": 0, "random_povm": 0}
+        for module, name in ((leakage.linalg, "inv_sqrt_psd"), (leakage, "random_povm")):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        cfg = AscentConfig(restarts=3, seed=0)
+        report = compute_leakage(encode_index(4), cfg)
+        iters = sum(t.iterations[-1] for t in report.traces)
+        backtracks = sum(t.backtracks for t in report.traces)
+        assert calls == {"inv_sqrt_psd": 3 + iters + backtracks, "random_povm": 3}
+
+
+def index4_exact(kind, p):
+    """index4's leakage under depolarizing noise: log2(p + 4 (1 - p)) for
+    global noise; per-qubit noise keeps the states diagonal and flips each
+    bit with probability p/2, which leaves 2 + 2 log2(1 - p/2)."""
+    if kind == "global":
+        return math.log2(p + 4.0 * (1.0 - p))
+    return 2.0 + 2.0 * math.log2(1.0 - p / 2.0)
+
+
+class TestTransfer:
+    """A report carried through a channel brackets the mapped ensemble's
+    leakage without a new solve."""
+
+    @pytest.mark.parametrize("kind", ["global", "local"])
+    def test_brackets_index4_under_depolarizing_noise(self, kind):
+        ensemble = encode_index(4)
+        report = compute_leakage(ensemble, AscentConfig(restarts=2, seed=0))
+        for p in np.linspace(0.0, 1.0, 11):
+            channel = depolarizing(kind, float(p), 4)
+            lower, upper = leakage._transfer(report, channel, ensemble.transform(channel))
+            exact = index4_exact(kind, float(p))
+            assert leakage._bits(lower) <= exact + 1e-12 <= leakage._bits(upper) + 2e-12
+            assert leakage._bits(upper) - leakage._bits(lower) <= leakage.TRANSFER_GAP_BITS
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_upper_bound_holds_under_a_random_channel(self, seed):
+        rng = np.random.default_rng(seed)
+        ensemble = random_ensemble(3, 4, rng)
+        cfg = AscentConfig(restarts=3, seed=seed)
+        report = compute_leakage(ensemble, cfg)
+        channel = random_kraus_channel(3, 3, seed + 50)
+        mapped = ensemble.transform(channel)
+        lower, upper = leakage._transfer(report, channel, mapped)
+        direct = compute_leakage(mapped, cfg).leakage_bits
+        assert direct <= leakage._bits(upper) + 1e-12
+        assert leakage._bits(upper) <= report.upper_bound_bits + 1e-9
+        assert lower <= upper
+
+    def test_noise_curve_without_a_report_solves_every_point(self, monkeypatch):
+        calls = []
+        original = leakage.compute_leakage
+
+        def counted(ensemble, cfg=None, threads=1):
+            calls.append(ensemble)
+            return original(ensemble, cfg)
+
+        monkeypatch.setattr(leakage, "compute_leakage", counted)
+        ensemble, cfg = encode_index(2), AscentConfig(restarts=1, seed=0)
+        report = original(ensemble, cfg)
+        solved = []
+        plain = leakage.noise_curve(ensemble, "global", (0.0, 0.5), cfg,
+                                    report.leakage_bits, solved=solved)
+        assert len(calls) == 2 and solved == [0.0, 0.5]
+        carried = leakage.noise_curve(ensemble, "global", (0.0, 0.5), cfg,
+                                      report.leakage_bits, report=report)
+        assert len(calls) == 2
+        for (_, direct, formula), (_, moved, same) in zip(plain, carried):
+            assert moved == pytest.approx(direct, abs=1e-6) and same == formula
+
 
 class TestMutualInformation:
     def test_independent_gives_zero(self):
