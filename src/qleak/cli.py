@@ -180,8 +180,8 @@ class _Run:
 
 
 def _write_json(path: Path, payload: dict, manifest: dict):
-    path.write_text(json.dumps({**payload, "manifest": manifest},
-                               indent=2, sort_keys=True) + "\n")
+    # One line: without indent, json uses its C encoder.
+    path.write_text(json.dumps({**payload, "manifest": manifest}, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, manifest: dict, header: list[str], rows):

@@ -80,9 +80,17 @@ class AscentConfig:
 
     Every restart starts from a random rank-one POVM with d^2 outcomes, the
     size that always suffices for the optimum.
+
+    Each iteration tries the step mu first and halves it while the objective
+    would fall. The default 0.5 keeps the tilt G = I + mu (rho^x - D),
+    D = sum_z rho^{x*(z)} F_z (see ascent_step), safely invertible: at the
+    optimum of an index ensemble D = I and rho^x - D = -(I - |x><x|), so G
+    is singular at mu = 1 and its spectrum stays at least 1/2 at mu = 0.5.
+    Longer steps stall near such optima; 0.1 needs about five times the
+    iterations.
     """
 
-    mu: float = 0.1
+    mu: float = 0.5
     eps: float = 1e-9
     max_iters: int = 10000
     restarts: int = 10
@@ -479,10 +487,11 @@ def noise_curve(ensemble: Ensemble, kind: str, grid, cfg: AscentConfig,
 
     direct_bits is always the value of a feasible measurement. Without a
     report it is a fresh solve at every p with cfg. Given the noiseless
-    ensemble's report, its POVM and dual point are first carried through
-    the channel; where the certified interval is at most TRANSFER_GAP_BITS
-    wide, its lower end is reported and the solve skipped. The p of every
-    point that was solved is appended to ``solved``, if given.
+    ensemble's report, p = 0 (the identity channel) reports its
+    leakage_bits, and at any other p its POVM and dual point are first
+    carried through the channel; where the certified interval is at most
+    TRANSFER_GAP_BITS wide, its lower end is reported and the solve skipped.
+    The p of every point that was solved is appended to ``solved``, if given.
     """
     qubits = qubit_count(ensemble.dim) if kind == "local" else 1
     rows = []
@@ -491,7 +500,9 @@ def noise_curve(ensemble: Ensemble, kind: str, grid, cfg: AscentConfig,
         channel = depolarizing(kind, p, ensemble.dim)
         noisy = ensemble.transform(channel)
         bits = None
-        if report is not None:
+        if report is not None and p == 0.0:
+            bits = report.leakage_bits
+        elif report is not None:
             lower, upper = _transfer(report, channel, noisy)
             if _bits(upper) - _bits(lower) <= TRANSFER_GAP_BITS:
                 bits = _bits(lower)

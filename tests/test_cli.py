@@ -223,10 +223,11 @@ class TestNoiseSweep:
                      "local", "--p-steps", "3", "--restarts", "2", "--out", str(out)]) == 0
         lines = (out / "noise_sweep.csv").read_text().splitlines()
         config = json.loads(lines[0][len("# manifest: "):])["config"]
-        # The noiseless gap is about 1e-4 bits, so p = 0 and 0.5 are solved
-        # again; at p = 1 every state is I/8 and the interval closes.
-        assert config["solved_p"] == [0.0, 0.5]
-        assert len(solves) == 3
+        # p = 0 reports the noiseless solve. The noiseless gap is about 4e-5
+        # bits, so p = 0.5 is solved; at p = 1 every state is I/8 and the
+        # interval closes.
+        assert config["solved_p"] == [0.5]
+        assert len(solves) == 2
         assert [line.split(",")[0] for line in lines[2:]] == ["0.0", "0.5", "1.0"]
 
     def test_invalid_grid(self, tmp_path):

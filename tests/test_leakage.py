@@ -26,6 +26,7 @@ from qleak import (
     verify_properties,
 )
 from qleak import leakage
+from qleak.ensemble_io import resolve_ensemble
 from qleak.leakage import WHITENING_REG
 from qleak.exceptions import (
     DimensionMismatchError,
@@ -339,7 +340,44 @@ class TestStackedRestarts:
             assert trace.iterations == [0, 1]
             assert trace.step_sizes[-1] == leakage.MU_MIN
             assert trace.objectives[1] == trace.objectives[0]
-            assert trace.backtracks == math.ceil(math.log2(0.1 / leakage.MU_MIN))
+            assert trace.backtracks == math.ceil(
+                math.log2(AscentConfig().mu / leakage.MU_MIN))
+
+
+def criterion5_fuzz(index):
+    """Ensemble ``index`` of acceptance criterion 5's fuzz stream, with its
+    AscentConfig."""
+    rng = np.random.default_rng(20250809)
+    for i in range(index + 1):
+        dim = int(rng.integers(2, 5))
+        n_symbols = int(rng.integers(2, 7))
+        if i % 10 == 9:
+            rho = random_density(dim, rng)
+            ensemble = Ensemble([f"s{k}" for k in range(n_symbols)], [rho] * n_symbols)
+        else:
+            ensemble = random_ensemble(dim, n_symbols, rng)
+    return ensemble, AscentConfig(restarts=4, max_iters=2500, eps=1e-10, seed=100 + index)
+
+
+class TestDefaultStep:
+    """The default step 0.5 converges where 0.1 runs into the cap, and
+    loses nothing on the builtins."""
+
+    def test_fuzz_2_stops_by_eps_only_at_the_default_step(self):
+        ensemble, cfg = criterion5_fuzz(2)
+        assert (ensemble.dim, ensemble.size) == (4, 4)
+        report = compute_leakage(ensemble, cfg)
+        assert [t.stop_reason for t in report.traces] == ["eps"] * 4
+        short = compute_leakage(ensemble, dataclasses.replace(cfg, mu=0.1))
+        assert [t.stop_reason for t in short.traces] == ["max_iters"] * 4
+
+    @pytest.mark.parametrize("name", ["index2", "index4", "index8", "amplitude3"])
+    def test_builtins_lose_nothing_against_step_0_1(self, name):
+        ensemble = resolve_ensemble(f"builtin:{name}")[0]
+        report = compute_leakage(ensemble, AscentConfig(seed=0))
+        short = compute_leakage(ensemble, AscentConfig(mu=0.1, seed=0))
+        assert report.leakage_bits >= short.leakage_bits - 1e-12
+        assert report.gap_bits <= short.gap_bits
 
 
 class TestTwoStateLeakage:
