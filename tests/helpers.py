@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from qleak import DensityOperator, Ensemble
+from qleak import AscentConfig, DensityOperator, Ensemble
 
 
 def random_pure(dim, rng):
@@ -60,3 +60,27 @@ def orbit_leakage(ensemble):
     n = len(vectors)
     lam = np.linalg.eigvalsh(vectors.conj() @ vectors.T)
     return math.log2(np.sum(np.sqrt(np.where(lam < n * 1e-12, 0.0, lam))) ** 2 / n)
+
+
+def fuzz_stream(count=50):
+    """Acceptance criterion 5's fuzz stream: (i, ensemble, cfg) for its first
+    ``count`` ensembles, with d in 2..4, |X| in 2..6 and every tenth one
+    indistinguishable, each with the solver settings the criterion uses."""
+    rng = np.random.default_rng(20250809)
+    for i in range(count):
+        dim = int(rng.integers(2, 5))
+        n_symbols = int(rng.integers(2, 7))
+        if i % 10 == 9:
+            rho = random_density(dim, rng)
+            ensemble = Ensemble([f"s{k}" for k in range(n_symbols)],
+                                [rho] * n_symbols)
+        else:
+            ensemble = random_ensemble(dim, n_symbols, rng)
+        yield i, ensemble, AscentConfig(restarts=4, max_iters=2500, eps=1e-10,
+                                        seed=100 + i)
+
+
+def criterion5_fuzz(index):
+    """Ensemble ``index`` of fuzz_stream, with its AscentConfig."""
+    *_, (_, ensemble, cfg) = fuzz_stream(index + 1)
+    return ensemble, cfg

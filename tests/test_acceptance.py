@@ -28,7 +28,7 @@ from qleak import (
     verify_properties,
 )
 from qleak.cli import main as cli_main
-from helpers import random_density, random_ensemble, random_pure
+from helpers import fuzz_stream, random_pure
 
 # Objective histories from every optimizer run in this module; criterion 6
 # asserts monotonicity across all of them.
@@ -148,18 +148,9 @@ def test_criterion_5_property_suite(capsys):
                                       + preset_flags)
     presets_ok = all(code == 0 for code in preset_codes.values())
 
-    rng = np.random.default_rng(20250809)
     failures = []
-    for i in range(50):
-        dim = int(rng.integers(2, 5))
-        n_symbols = int(rng.integers(2, 7))
-        if i % 10 == 9:
-            rho = random_density(dim, rng)
-            ensemble = Ensemble([f"s{k}" for k in range(n_symbols)],
-                                [rho] * n_symbols)
-        else:
-            ensemble = random_ensemble(dim, n_symbols, rng)
-        cfg = AscentConfig(restarts=4, max_iters=2500, eps=1e-10, seed=100 + i)
+    for i, ensemble, cfg in fuzz_stream():
+        dim, n_symbols = ensemble.dim, ensemble.size
         report = verify_properties(
             ensemble, cfg,
             channel=random_kraus_channel(dim, dim, seed=3000 + i),

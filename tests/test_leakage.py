@@ -33,8 +33,21 @@ from qleak.exceptions import (
     InvalidProbabilityError,
     UnsupportedDimensionError,
 )
-from helpers import (cyclic_orbit, orbit_leakage, random_density, random_ensemble,
-                     random_pure)
+from helpers import (criterion5_fuzz, cyclic_orbit, orbit_leakage, random_density,
+                     random_ensemble, random_pure)
+
+
+def count_solves(monkeypatch):
+    """Record every ensemble that leakage.compute_leakage is called on."""
+    calls = []
+    original = leakage.compute_leakage
+
+    def counted(ensemble, cfg=None, threads=1):
+        calls.append(ensemble)
+        return original(ensemble, cfg)
+
+    monkeypatch.setattr(leakage, "compute_leakage", counted)
+    return calls
 
 
 def ket0_plus_ensemble():
@@ -344,21 +357,6 @@ class TestStackedRestarts:
                 math.log2(AscentConfig().mu / leakage.MU_MIN))
 
 
-def criterion5_fuzz(index):
-    """Ensemble ``index`` of acceptance criterion 5's fuzz stream, with its
-    AscentConfig."""
-    rng = np.random.default_rng(20250809)
-    for i in range(index + 1):
-        dim = int(rng.integers(2, 5))
-        n_symbols = int(rng.integers(2, 7))
-        if i % 10 == 9:
-            rho = random_density(dim, rng)
-            ensemble = Ensemble([f"s{k}" for k in range(n_symbols)], [rho] * n_symbols)
-        else:
-            ensemble = random_ensemble(dim, n_symbols, rng)
-    return ensemble, AscentConfig(restarts=4, max_iters=2500, eps=1e-10, seed=100 + index)
-
-
 class TestDefaultStep:
     """The default step 0.5 converges where 0.1 runs into the cap, and
     loses nothing on the builtins."""
@@ -601,16 +599,9 @@ class TestTransfer:
         assert lower <= upper
 
     def test_noise_curve_without_a_report_solves_every_point(self, monkeypatch):
-        calls = []
-        original = leakage.compute_leakage
-
-        def counted(ensemble, cfg=None, threads=1):
-            calls.append(ensemble)
-            return original(ensemble, cfg)
-
-        monkeypatch.setattr(leakage, "compute_leakage", counted)
         ensemble, cfg = encode_index(2), AscentConfig(restarts=1, seed=0)
-        report = original(ensemble, cfg)
+        report = compute_leakage(ensemble, cfg)
+        calls = count_solves(monkeypatch)
         solved = []
         plain = leakage.noise_curve(ensemble, "global", (0.0, 0.5), cfg,
                                     report.leakage_bits, solved=solved)
@@ -748,6 +739,55 @@ class TestVerifyProperties:
             encode_index(2), AscentConfig(restarts=2, seed=0),
             checks=("global_noise_exactness", "local_noise_bound"), noise_grid=(0.3,))
         assert [c.passed for c in report.checks] == [False, False]
+
+    def test_index4_local_bound_is_certified_without_a_solve(self, monkeypatch):
+        calls = count_solves(monkeypatch)
+        report = verify_properties(encode_index(4), AscentConfig(restarts=2, seed=0),
+                                   checks=("local_noise_bound",),
+                                   noise_grid=(0.0, 0.3, 0.7, 1.0))
+        (check,) = report.checks
+        assert len(calls) == 1 and check.passed
+        assert check.detail.endswith("certified 4/4, solved p []")
+
+    def test_wide_certificate_falls_back_to_one_solve_per_point(self, monkeypatch):
+        ensemble, cfg = encode_index(4), AscentConfig(restarts=2, seed=0)
+        grid = (0.0, 0.3, 0.7, 1.0)
+        q0 = compute_leakage(ensemble, cfg).leakage_bits
+        worst = max(direct - bound for _, direct, bound in
+                    leakage.noise_curve(ensemble, "local", grid, cfg, q0))
+        # An upper end of 8, i.e. 3 bits, settles no point of a 2-bit ensemble.
+        monkeypatch.setattr(leakage, "_transfer", lambda report, channel, mapped: (1.0, 8.0))
+        calls = count_solves(monkeypatch)
+        (check,) = verify_properties(ensemble, cfg, checks=("local_noise_bound",),
+                                     noise_grid=grid).checks
+        assert len(calls) == 1 + len(grid) and check.passed
+        assert f"= {worst:.3e} over" in check.detail
+        assert check.detail.endswith("certified 0/4, solved p [0.0, 0.3, 0.7, 1.0]")
+
+    @pytest.mark.parametrize("index", [1, 6, 20])
+    def test_certified_pass_bounds_a_fresh_solve(self, index):
+        ensemble, cfg = criterion5_fuzz(index)
+        (check,) = verify_properties(ensemble, cfg, checks=("local_noise_bound",),
+                                     noise_grid=(0.4,)).checks
+        assert check.passed and check.detail.endswith("certified 1/1, solved p []")
+        baseline = compute_leakage(ensemble, cfg)
+        channel = depolarizing("local", 0.4, ensemble.dim)
+        noisy = ensemble.transform(channel)
+        upper = leakage._bits(leakage._transfer(baseline, channel, noisy)[1])
+        bound = noisy_leakage_local_bound(baseline.leakage_bits, 0.4,
+                                          int(math.log2(ensemble.dim)))
+        fresh = compute_leakage(noisy, cfg).leakage_bits
+        assert fresh <= bound + 1e-3 and fresh <= upper + 1e-9
+
+    def test_wide_fuzz_gap_is_solved(self, monkeypatch):
+        # Fuzz #15's certified gap is 0.2 bits, so its carried upper end
+        # lies 0.15 bits above the bound and only a solve can settle p.
+        ensemble, cfg = criterion5_fuzz(15)
+        calls = count_solves(monkeypatch)
+        (check,) = verify_properties(ensemble, cfg, checks=("local_noise_bound",),
+                                     noise_grid=(0.4,)).checks
+        assert len(calls) == 2 and check.passed
+        assert check.detail.endswith("certified 0/1, solved p [0.4]")
 
     def test_non_power_of_two_skips_local_bound(self):
         cfg = AscentConfig(restarts=2, max_iters=500, seed=4)
