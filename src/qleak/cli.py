@@ -209,15 +209,15 @@ def _cmd_compute(run: _Run) -> int:
         "stop_reasons": [trace.stop_reason for trace in report.traces],
         "backtracks": [trace.backtracks for trace in report.traces],
         "optimal_povm": [matrix_to_pairs(el) for el in report.optimal_povm],
+        "dual": matrix_to_pairs(report.dual),
     }, manifest)
     for path, trace in zip(trace_paths, report.traces):
         _write_csv(path, manifest,
                    ["iteration", "objective", "leakage_bits", "step_size"], trace.rows())
-    converged = sum(report.converged_flags)
     print(f"leakage_bits={report.leakage_bits:.6f} "
           f"in [{report.leakage_bits:.9f}, {report.upper_bound_bits:.9f}] "
           f"(gap {report.gap_bits:.1e} bits, ceiling {report.ceiling_bits:.6f}), "
-          f"{converged}/{len(report.traces)} restarts converged "
+          f"{sum(report.converged_flags)}/{len(report.traces)} restarts converged "
           f"-> {result_path}")
     return EXIT_OK
 

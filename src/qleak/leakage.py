@@ -15,10 +15,10 @@ so the objective is at most tr I = d (the paper states 2 log2 d). Allowing
 an adversary several verified guesses instead of one does not change the
 quantity, so no separate multi-guess computation exists.
 
-Each solve is certified: besides its POVM (the lower bound) it returns a
-dual point Y >= rho^x for every x, whose trace bounds the objective from
-above. Both move through a channel without a new solve, which is how
-noise_curve skips the grid points where the moved interval stays tight.
+Each solve is certified: its POVM gives the lower bound, and a dual point
+Y >= rho^x for every x the upper one, both formed by certify. Both move
+through a channel without a new solve, which is how noise_curve skips the
+grid points where the moved interval stays tight.
 
 Closed-form companions: the exact two-state value log2(1 + T), a brute-force
 qubit search, the global depolarizing transfer formula and the per-qubit
@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -131,9 +131,12 @@ class ConvergenceTrace:
     objectives: list[float] = field(default_factory=list)
     leakage_bits: list[float] = field(default_factory=list)
     step_sizes: list[float] = field(default_factory=list)
-    converged: bool = False
     stop_reason: str = ""
     backtracks: int = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("eps", "step_floor")
 
     def append(self, iteration: int, objective: float, bits: float, step: float):
         self.iterations.append(iteration)
@@ -152,10 +155,8 @@ class LeakageReport:
     """Outcome of a multi-restart leakage computation.
 
     The leakage lies in the certified interval [leakage_bits,
-    upper_bound_bits]: leakage_bits is the value of the feasible POVM
-    optimal_povm, and upper_bound_bits is log2 tr(dual) for a d x d matrix
-    dual that dominates every state (dual >= rho^x), which bounds the
-    objective of every POVM.
+    upper_bound_bits] (see certify): the value of the feasible POVM
+    optimal_povm, and log2 tr(dual) for a d x d dual >= every rho^x.
     """
 
     leakage_bits: float
@@ -229,27 +230,33 @@ def _step(picked: np.ndarray, columns: np.ndarray, mu: np.ndarray) -> np.ndarray
     return np.stack(whiteners) @ grown
 
 
-def _dual_point(states: np.ndarray, columns: np.ndarray, picked: np.ndarray):
-    """A dual feasible point Y >= rho^x for every x, from the final columns
-    (d, m r) of an iterate and its winning products (see _evaluate): Y is
-    the Hermitian part of sum_y rho^{x*(y)} F_y, shifted by t I with t the
-    largest eigenvalue of any rho^x minus it (or 0). Returns (Y, t)."""
-    drift = linalg.hermitize(picked @ columns.conj().T)
-    shift = max(0.0, float(np.linalg.eigvalsh(states - drift)[:, -1].max()))
-    return drift + shift * np.eye(len(drift)), shift
+def certify(states: np.ndarray, factors: np.ndarray, dual: np.ndarray):
+    """Certified interval (lower, upper) of the objective of a state stack
+    (|X|, d, d) from POVM factors (m, d, r) and any d x d ``dual``; returns
+    (lower, upper, point). lower = sum_y max_x tr(rho^x F_y) of the POVM.
+    With Y the Hermitian part of ``dual`` and l = min_x lambda_min(Y - rho^x)
+    of either sign, point = Y - l I dominates every rho^x, which bounds every
+    POVM's objective by tr Y - d l: the dual of the min-error discrimination
+    SDP, min tr Y s.t. Y >= rho^x (Koenig, Renner and Schaffner, IEEE TIT 55,
+    2009). upper = max(lower, tr Y - d l); the max only absorbs eigvalsh
+    roundoff. The inputs are plain arrays, so a result.json's optimal_povm
+    and dual can be rechecked. Not covered: a POVM completeness defect of at
+    most 1e-12, which costs at most 1.5e-12 bits (rescale by 1/(1 + defect)),
+    and eigvalsh roundoff in l, about d u ||Y - rho^x|| (u the unit roundoff).
+    """
+    dual = linalg.hermitize(dual)
+    lower = float(_objectives(conditional_traces(states, factors).real))
+    low = float(np.linalg.eigvalsh(dual - states)[:, 0].min())
+    upper = max(lower, float(np.trace(dual).real) - len(dual) * low)
+    return lower, upper, dual - low * np.eye(len(dual))
 
 
 def _transfer(report: LeakageReport, channel: KrausChannel, mapped: Ensemble):
     """Certified interval (lower, upper) of the objective of ``mapped``, the
-    solved ensemble mapped through ``channel``, without a solve. The solve's
-    POVM is still a POVM, so its objective on the mapped states is the lower
-    end. N(Y) - lambda I, with lambda = min_x lambda_min(N(Y) - rho'_x) over
-    the stored mapped states rho'_x, dominates each of them, so its trace
-    is the upper end."""
-    lower = leakage_objective(mapped, report.optimal_povm)[0]
-    dual = linalg.hermitize(_kraus_sum(channel.kraus_ops, report.dual))
-    low = float(np.linalg.eigvalsh(dual - mapped.state_stack())[:, 0].min())
-    return lower, float(np.trace(dual).real) - mapped.dim * low
+    solved ensemble mapped through ``channel``, without a solve: certify on
+    the report's POVM and the channel's image N(Y) of its dual point."""
+    return certify(mapped.state_stack(), report.optimal_povm.factors,
+                   _kraus_sum(channel.kraus_ops, report.dual))[:2]
 
 
 def ascent_step(ensemble: Ensemble, povm: Povm, mu: float) -> Povm:
@@ -284,12 +291,11 @@ def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
     so the trace never decreases), and the best final value wins. Hitting
     max_iters is not an error; the restart is just flagged unconverged.
 
-    The report certifies its value. With F the best restart's final POVM
-    and x*(y) the winner of outcome y, Y0 = sum_y rho^{x*(y)} F_y (its
-    Hermitian part) shifted by t I, t = max(0, max_x lambda_max(rho^x - Y0)),
-    dominates every state, so the leakage lies in [leakage_bits,
-    upper_bound_bits], upper_bound_bits = log2(objective + d t). At an
-    optimum of the ascent t is 0, up to how far the ascent stopped short.
+    The report certifies its value: certify shifts Y0 = sum_y rho^{x*(y)} F_y,
+    over the best restart's final POVM F and its winners x*(y), onto the
+    states; the shifted point is report.dual and upper_bound_bits is log2 of
+    certify's upper end. At an optimum of the ascent the shift is 0, up to
+    how far the ascent stopped short.
 
     All restarts advance together as one stack: each pass makes one step
     trial for every restart still running, and a restart leaves the stack
@@ -338,7 +344,6 @@ def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
             objective = float(objectives[i])
             trace.append(iteration, objective, _bits(objective), float(mu[i]))
             if changes[i] < cfg.eps:
-                trace.converged = True
                 trace.stop_reason = "step_floor" if held[i] else "eps"
             elif iteration == cfg.max_iters:
                 trace.stop_reason = "max_iters"
@@ -357,16 +362,17 @@ def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
     restart_leakages = [trace.leakage_bits[-1] for trace in history]
     best = int(np.argmax(restart_leakages))
     final_columns, final_picked = finals[best]
-    dual, shift = _dual_point(states, final_columns, final_picked)
+    factors = _factors(final_columns, outcomes)
+    _, upper, dual = certify(states, factors, final_picked @ final_columns.conj().T)
     return LeakageReport(
         leakage_bits=restart_leakages[best],
-        optimal_povm=Povm.from_factors(_factors(final_columns, outcomes)),
+        optimal_povm=Povm.from_factors(factors),
         best_restart=best,
         traces=history,
         restart_leakages=restart_leakages,
         ceiling_bits=min(math.log2(ensemble.size), math.log2(dim)),
         dual=dual,
-        upper_bound_bits=_bits(history[best].objectives[-1] + dim * shift),
+        upper_bound_bits=_bits(upper),
     )
 
 
@@ -488,10 +494,10 @@ def noise_curve(ensemble: Ensemble, kind: str, grid, cfg: AscentConfig,
     direct_bits is always the value of a feasible measurement. Without a
     report it is a fresh solve at every p with cfg. Given the noiseless
     ensemble's report, p = 0 (the identity channel) reports its
-    leakage_bits, and at any other p its POVM and dual point are first
-    carried through the channel; where the certified interval is at most
-    TRANSFER_GAP_BITS wide, its lower end is reported and the solve skipped.
-    The p of every point that was solved is appended to ``solved``, if given.
+    leakage_bits; at any other p, certify bounds its POVM and dual point
+    carried through the channel (see _transfer), and an interval at most
+    TRANSFER_GAP_BITS wide reports its lower end without a solve. The p of
+    every point that was solved is appended to ``solved``, if given.
     """
     qubits = qubit_count(ensemble.dim) if kind == "local" else 1
     rows = []
@@ -531,14 +537,7 @@ class PropertyReport:
         return all(c.passed for c in self.checks)
 
     def as_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "skipped": c.skipped,
-                 "detail": c.detail}
-                for c in self.checks
-            ],
-        }
+        return {"all_passed": self.all_passed, "checks": list(map(asdict, self.checks))}
 
 
 ALL_PROPERTY_CHECKS = (
@@ -558,29 +557,26 @@ def _local_noise_bound(ensemble: Ensemble, baseline: LeakageReport,
     after per-qubit noise is at most the paper's bound
     g_p = log2(p^k + (1-p^k) 2^q0), plus 1e-3 bits.
 
-    Each point is first tried with the baseline's certificate carried
-    through the channel (see _transfer). Its upper end U_p bounds the
-    objective of every POVM on the noisy ensemble, so Q_p <= U_p, and a
-    solve there reports some POVM's value, which is at most Q_p. Hence
-    U_p <= g_p + 1e-3 implies that any solve would pass the same test, up
-    to eigvalsh roundoff in U_p, and that point is not solved. Every other
-    point is solved by noise_curve and its value tested as before. A NaN
-    end or bound fails both comparisons. Raises UnsupportedDimensionError
-    before any solve when the dimension is not a power of two.
+    certify's upper end U_p of the baseline carried through the channel (see
+    _transfer) bounds every POVM's value on the noisy ensemble, a solve's
+    included, so U_p <= g_p + 1e-3 passes the point without a solve, up to
+    eigvalsh roundoff in U_p. Every other point is solved on the noisy
+    ensemble and its value tested. A NaN end or bound fails both
+    comparisons. Raises UnsupportedDimensionError before any solve when the
+    dimension is not a power of two.
     """
     qubits = qubit_count(ensemble.dim)
     q0 = baseline.leakage_bits
     excesses, solved = [], []
     for p in map(float, noise_grid):
         channel = depolarizing("local", p, ensemble.dim)
-        upper = _bits(_transfer(baseline, channel, ensemble.transform(channel))[1])
+        noisy = ensemble.transform(channel)
+        value = _bits(_transfer(baseline, channel, noisy)[1])
         bound = noisy_leakage_local_bound(q0, p, qubits)
-        if upper <= bound + 1e-3:
-            excesses.append(upper - bound)
-        else:
+        if not value <= bound + 1e-3:
             solved.append(p)
-    excesses += [direct - bound for _, direct, bound in
-                 noise_curve(ensemble, "local", solved, cfg, q0)]
+            value = compute_leakage(noisy, cfg).leakage_bits
+        excesses.append(value - bound)
     return PropertyCheck(
         "local_noise_bound", all(ex <= 1e-3 for ex in excesses),
         f"max (certified upper or direct) - bound = "
@@ -601,16 +597,15 @@ def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
     exact two-state leakage over pairs of states, and zero when that is
     zero); "povm_dominance" (I(X;Y) never exceeds the per-measurement
     objective in bits, probed on the optimizer's POVM plus DOMINANCE_PROBES
-    random ones with d^2 outcomes);
-    "data_processing" (a channel cannot increase leakage; a seeded random
-    channel is drawn when none is supplied); "global_noise_exactness"
-    (optimized leakage of the globally depolarized ensemble matches the
-    closed-form transfer on noise_grid); "local_noise_bound" (per-qubit
-    noise respects its upper bound, proved from the carried certificate
-    where it can be and solved elsewhere, see _local_noise_bound; skipped
-    when the dimension is not a power of two). A check passes only if every
-    value it compares meets its tolerance, so a NaN fails it. ``threads``
-    is accepted for compatibility and ignored.
+    random ones with d^2 outcomes); "data_processing" (a channel cannot
+    increase leakage; a seeded random channel is drawn when none is
+    supplied); "global_noise_exactness" (noise_curve, carrying the baseline
+    report, matches the closed-form global transfer on noise_grid);
+    "local_noise_bound" (per-qubit noise respects its upper bound, proved
+    from the carried certificate where it can be and solved elsewhere, see
+    _local_noise_bound; skipped when the dimension is not a power of two).
+    A check passes only if every value it compares meets its tolerance, so
+    a NaN fails it. ``threads`` is accepted for compatibility and ignored.
     """
     cfg = cfg or AscentConfig()
     unknown = set(checks) - set(ALL_PROPERTY_CHECKS)
@@ -664,12 +659,14 @@ def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
             f"+ 1e-6 (POVM and channel trace slack)"))
 
     if "global_noise_exactness" in checks:
+        solved = []
         errors = [abs(direct - formula) for _, direct, formula in
-                  noise_curve(ensemble, "global", noise_grid, cfg, q0)]
+                  noise_curve(ensemble, "global", noise_grid, cfg, q0,
+                              report=baseline, solved=solved)]
         results.append(PropertyCheck(
             "global_noise_exactness", all(err <= 2e-3 for err in errors),
             f"max |direct - formula| = {np.max(errors, initial=0.0):.3e} "
-            f"over p grid {noise_grid}"))
+            f"over p grid {noise_grid}; solved p {solved}"))
 
     if "local_noise_bound" in checks:
         try:

@@ -7,9 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from qleak import cli, ensemble_to_config, encode_index, leakage
+from qleak import (Povm, certify, cli, ensemble_to_config, encode_amplitude_3bit,
+                   encode_index, leakage)
 from qleak.cli import main
-from qleak.ensemble_io import canonical_json
+from qleak.ensemble_io import canonical_json, pairs_to_array
 
 
 def dimension_one_file(tmp_path):
@@ -72,6 +73,19 @@ class TestCompute:
         assert result["gap_bits"] == report.gap_bits < 1e-6
         assert result["leakage_bits"] <= 2.0 <= result["upper_bound_bits"] + 1e-12
         assert f"{result['upper_bound_bits']:.9f}]" in capsys.readouterr().out
+
+    def test_result_rechecks_with_certify(self, tmp_path):
+        # The written POVM and dual point reproduce both ends of the interval.
+        out = tmp_path / "run"
+        assert main(["compute", "--ensemble", "builtin:amplitude3", "--restarts", "2",
+                     "--out", str(out)]) == 0
+        result = read_result(out)
+        povm = Povm([pairs_to_array(el, 2, "element") for el in result["optimal_povm"]])
+        dual = pairs_to_array(result["dual"], 2, "dual")
+        states = encode_amplitude_3bit().state_stack()
+        lower, upper, _ = certify(states, povm.factors, dual)
+        assert math.log2(lower) == pytest.approx(result["leakage_bits"], abs=1e-12)
+        assert math.log2(upper) == pytest.approx(result["upper_bound_bits"], abs=1e-12)
 
     def test_manifest_records_environment(self, tmp_path):
         out = tmp_path / "run"

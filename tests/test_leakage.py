@@ -11,6 +11,7 @@ from qleak import (
     Povm,
     ascent_step,
     brute_force_leakage,
+    certify,
     compute_leakage,
     depolarizing,
     depolarizing_global,
@@ -543,6 +544,25 @@ class TestCertificate:
         assert math.log2(np.trace(report.dual).real) == pytest.approx(
             report.upper_bound_bits, abs=1e-12)
 
+    @pytest.mark.parametrize("ensemble", [
+        encode_index(4), encode_amplitude_3bit(),
+        random_ensemble(3, 4, np.random.default_rng(11))], ids=["index4", "amplitude3", "random"])
+    def test_lower_end_is_the_best_trace_objective(self, ensemble):
+        report = compute_leakage(ensemble, AscentConfig(restarts=2, seed=0))
+        lower, upper, _ = certify(ensemble.state_stack(), report.optimal_povm.factors,
+                                  report.dual)
+        assert lower == report.traces[report.best_restart].objectives[-1]
+        assert math.log2(upper) == pytest.approx(report.upper_bound_bits, abs=1e-15)
+
+    def test_over_large_dual_is_shifted_down(self):
+        # Y = 2 I dominates both basis states with room 1: the one-sided
+        # shift kept tr Y = 4 (2 bits); the two-sided one lowers it to I.
+        states = encode_index(2).state_stack()
+        lower, upper, point = certify(states, Povm.computational_basis(2).factors,
+                                      2.0 * np.eye(2))
+        assert (lower, upper) == (2.0, 2.0) and math.log2(upper) == 1.0
+        assert np.array_equal(point, np.eye(2))
+
     def test_adds_no_whitening_or_random_povm(self, monkeypatch):
         calls = {"inv_sqrt_psd": 0, "random_povm": 0}
         for module, name in ((leakage.linalg, "inv_sqrt_psd"), (leakage, "random_povm")):
@@ -748,6 +768,13 @@ class TestVerifyProperties:
         (check,) = report.checks
         assert len(calls) == 1 and check.passed
         assert check.detail.endswith("certified 4/4, solved p []")
+
+    def test_index4_global_noise_is_carried_without_a_solve(self, monkeypatch):
+        calls = count_solves(monkeypatch)
+        (check,) = verify_properties(encode_index(4), AscentConfig(restarts=2, seed=0),
+                                     checks=("global_noise_exactness",)).checks
+        assert len(calls) == 1 and check.passed
+        assert check.detail.endswith("solved p []")
 
     def test_wide_certificate_falls_back_to_one_solve_per_point(self, monkeypatch):
         ensemble, cfg = encode_index(4), AscentConfig(restarts=2, seed=0)
