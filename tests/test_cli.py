@@ -323,6 +323,19 @@ class TestVerify:
         assert manifest["config"]["channel_sha256"] == \
             hashlib.sha256(chan.read_bytes()).hexdigest()
 
+    def test_rectangular_channel_file(self, tmp_path):
+        # A 2 -> 3 isometry: the mapped ensemble lives in a larger space than
+        # the baseline's POVM, and data_processing proves its bound anyway.
+        chan = tmp_path / "chan.json"
+        chan.write_text(json.dumps({"kind": "kraus", "kraus_ops": [
+            [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]]]}))
+        out = tmp_path / "report"
+        assert main(["verify", "--ensemble", "builtin:index2",
+                     "--channel-file", str(chan), "--out", str(out)]) == 0
+        checks = json.loads((out / "verify_report.json").read_text())["checks"]
+        (check,) = [c for c in checks if c["name"] == "data_processing"]
+        assert check["passed"]
+
     def test_channel_at_tolerance_on_state_at_tolerance(self, tmp_path, capsys):
         # Trace 1 + 0.9e-9 and completeness defect 0.9e-9 are each accepted;
         # their composition is mapped to unit trace.

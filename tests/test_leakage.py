@@ -816,6 +816,55 @@ class TestVerifyProperties:
         assert len(calls) == 2 and check.passed
         assert check.detail.endswith("certified 0/1, solved p [0.4]")
 
+    @staticmethod
+    def data_processing_case(index):
+        """index4 with verify's default channel, or criterion-5 fuzz #index
+        with the channel criterion 5 draws for it."""
+        if index is None:
+            ensemble, cfg = encode_index(4), AscentConfig(restarts=2, seed=0)
+            return ensemble, cfg, random_kraus_channel(4, 4, cfg.seed + 104729)
+        ensemble, cfg = criterion5_fuzz(index)
+        return ensemble, cfg, random_kraus_channel(ensemble.dim, ensemble.dim,
+                                                   seed=3000 + index)
+
+    @pytest.mark.parametrize("index", [None, 1, 6, 20])
+    def test_data_processing_is_certified_without_a_solve(self, monkeypatch, index):
+        ensemble, cfg, channel = self.data_processing_case(index)
+        calls = count_solves(monkeypatch)
+        (check,) = verify_properties(ensemble, cfg, channel=channel,
+                                     checks=("data_processing",)).checks
+        assert len(calls) == 1 and check.passed
+        assert check.detail.startswith("certified upper after=")
+
+    @pytest.mark.parametrize("index", [1, 6, 20])
+    def test_certified_data_processing_bounds_a_fresh_solve(self, index):
+        ensemble, cfg, channel = self.data_processing_case(index)
+        baseline = compute_leakage(ensemble, cfg)
+        mapped = ensemble.transform(channel)
+        after = leakage._bits(leakage._dual_upper(
+            mapped.state_stack(), leakage._kraus_sum(channel.kraus_ops, baseline.dual))[0])
+        fresh = compute_leakage(mapped, cfg).leakage_bits
+        assert fresh <= after + 1e-9 <= baseline.upper_bound_bits + 1e-6
+
+    def test_wide_carried_upper_end_falls_back_to_a_solve(self, monkeypatch):
+        ensemble, cfg, channel = self.data_processing_case(None)
+        direct = compute_leakage(ensemble.transform(channel), cfg).leakage_bits
+        original, ends = leakage._dual_upper, []
+
+        def widened(states, dual):
+            # The baseline solve certifies first and keeps its own end; every
+            # later end, the carried one included, is 8: 3 bits for 2-bit index4.
+            upper, point = original(states, dual)
+            ends.append(upper)
+            return (upper if len(ends) == 1 else 8.0), point
+
+        monkeypatch.setattr(leakage, "_dual_upper", widened)
+        calls = count_solves(monkeypatch)
+        (check,) = verify_properties(ensemble, cfg, channel=channel,
+                                     checks=("data_processing",)).checks
+        assert len(calls) == 1 + 1 and check.passed
+        assert check.detail.startswith(f"solved after={direct:.9f} <= ")
+
     def test_non_power_of_two_skips_local_bound(self):
         cfg = AscentConfig(restarts=2, max_iters=500, seed=4)
         report = verify_properties(encode_index(3), cfg,
