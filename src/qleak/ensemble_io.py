@@ -66,8 +66,10 @@ def _require_numbers(entries, context: str):
 
 
 def matrix_to_pairs(matrix: np.ndarray) -> list:
-    """Complex matrix -> nested [re, im] pairs (JSON-safe)."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
+    """Complex matrix -> nested [re, im] pairs (JSON-safe); the mirror of
+    pairs_to_array."""
+    m = np.ascontiguousarray(matrix, dtype=np.complex128)
+    return m.view(np.float64).reshape(*m.shape, 2).tolist()
 
 
 def pairs_to_array(entries, rank: int, context: str) -> np.ndarray:

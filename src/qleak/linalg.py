@@ -30,11 +30,12 @@ ATOL = 1e-9
 MAX_ENTRY = 2.0 ** 256
 
 
-def as_cmatrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D complex128 array; reject an empty axis and any entry
+def as_cmatrix(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Coerce to a 2-D complex128 array, or with ``stack`` to a stack of
+    matrices over the last two axes; reject an empty axis and any entry
     whose real or imaginary part is NaN, Inf or above MAX_ENTRY."""
     arr = np.asarray(m, dtype=np.complex128)
-    if arr.ndim != 2 or 0 in arr.shape:
+    if (arr.ndim < 2 if stack else arr.ndim != 2) or 0 in arr.shape:
         raise DimensionMismatchError(f"{name} must be 2-D and non-empty, got shape {arr.shape}")
     # One reduction over the real and imaginary parts; a NaN fails `<=`.
     if not np.abs(np.ascontiguousarray(arr).view(np.float64)).max() <= MAX_ENTRY:
@@ -49,11 +50,11 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.linalg.norm(m - m.conj().T) / max(1.0, np.linalg.norm(m)))
 
 
-def _square_cmatrix(m, name: str) -> np.ndarray:
-    """`as_cmatrix`, then NonSquareError unless the matrix is square: the one
-    squareness test."""
-    arr = as_cmatrix(m, name)
-    if arr.shape[0] != arr.shape[1]:
+def _square_cmatrix(m, name: str, stack: bool = False) -> np.ndarray:
+    """`as_cmatrix`, then NonSquareError unless the matrices are square: the
+    one squareness test."""
+    arr = as_cmatrix(m, name, stack)
+    if arr.shape[-2] != arr.shape[-1]:
         raise NonSquareError(f"{name} must be square, got shape {arr.shape}")
     return arr
 
@@ -75,16 +76,18 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose the Hermitian part (m + m^dag)/2 of a square matrix.
+    """Eigendecompose the Hermitian part (m + m^dag)/2 of a square matrix or
+    of a stack of them (the last two axes).
 
     Returns numpy's ``(eigenvalues, eigenvectors)``: real eigenvalues in
-    ascending order and the matching orthonormal eigenvectors as columns.
+    ascending order and the matching orthonormal eigenvectors as columns,
+    per matrix. Each matrix of a stack gets what it gets alone.
 
     Raises
     ------
     NonSquareError, NumericalFailureError
     """
-    arr = _square_cmatrix(m, "matrix")
+    arr = _square_cmatrix(m, "matrix", stack=True)
     try:
         vals, vecs = np.linalg.eigh(hermitize(arr))
     except np.linalg.LinAlgError as exc:
@@ -93,7 +96,8 @@ def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def inv_sqrt_psd(s, reg: float = 0.0) -> np.ndarray:
-    """Regularized inverse square root of a PSD matrix.
+    """Regularized inverse square root of a PSD matrix or of a stack of them
+    (the last two axes), each as when it is alone.
 
     Computes ``V diag((lambda_i + reg)^(-1/2)) V^dag`` after clamping
     eigenvalues in [-ATOL, 0) to zero. ``reg <= 0`` is replaced by
@@ -102,16 +106,19 @@ def inv_sqrt_psd(s, reg: float = 0.0) -> np.ndarray:
     Raises
     ------
     NotPsdError
-        If any eigenvalue lies below the PSD floor.
+        If any eigenvalue of any matrix lies below the PSD floor.
     """
     vals, vecs = herm_eig(s)
-    if not vals[0] >= -ATOL:
-        raise NotPsdError(f"eigenvalue {vals[0]:.3e} below PSD floor {-ATOL:.0e}")
+    low = vals[..., 0]
+    if low.ndim:        # a stack; a single matrix skips the reduction's cost
+        low = low.min()
+    if not low >= -ATOL:
+        raise NotPsdError(f"eigenvalue {low:.3e} below PSD floor {-ATOL:.0e}")
     if reg <= 0.0:
         reg = np.finfo(np.float64).eps
     clamped = np.maximum(vals, 0.0)
     inv = 1.0 / np.sqrt(clamped + reg)
-    return hermitize((vecs * inv) @ vecs.conj().T)
+    return hermitize((vecs * inv[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
 
 
 def trace_distance(a, b) -> float:

@@ -232,8 +232,13 @@ class Povm:
             raise DimensionMismatchError(f"POVM factors must have shape (m, d, r), got {h.shape}")
         linalg.as_cmatrix(h.reshape(-1, h.shape[2]), "POVM factor stack")
         _check_completeness(np.tensordot(h, h.conj(), axes=([0, 2], [0, 2])))
+        return cls._unchecked(h)
+
+    @classmethod
+    def _unchecked(cls, factors: np.ndarray) -> "Povm":
+        """Wrap factors that already form a POVM without re-checking them."""
         povm = cls.__new__(cls)
-        povm.factors = _frozen(h)
+        povm.factors = _frozen(factors)
         return povm
 
     @classmethod
@@ -266,9 +271,11 @@ def _check_completeness(total: np.ndarray, atol: float = POVM_ATOL,
     of a Kraus set) is the identity within atol in operator norm. That norm
     bounds every later use: |tr(rho (total - I))| <= atol for a state rho, so
     Born rows sum to 1 and channel outputs keep unit trace within atol.
-    The total is finite but may exceed linalg.MAX_ENTRY, so it skips herm_eig."""
-    vals = np.linalg.eigh(linalg.hermitize(total - np.eye(len(total))))[0]
-    defect = max(-vals[0], vals[-1])
+    The total is finite but may exceed linalg.MAX_ENTRY, so it skips herm_eig.
+    A stack of totals (the last two axes) is checked in one eigh; the largest
+    defect is reported."""
+    vals = np.linalg.eigh(linalg.hermitize(total - np.eye(total.shape[-1])))[0]
+    defect = np.maximum(-vals[..., 0], vals[..., -1]).max()
     if not defect <= atol:
         raise error(f"completeness defect {defect:.3e} exceeds {atol:.0e}")
 
@@ -442,22 +449,34 @@ def random_povm(dim: int, size: int, seed: int) -> Povm:
     """Random rank-one POVM: Gaussian vectors g_y, renormalized so that the
     outer products S^(-1/2) g_y g_y^dag S^(-1/2) sum to the identity.
 
-    Deterministic for a given seed. Needs size >= dim for the normalizer
+    Deterministic for a given seed: random_povm_factors with count 1 and
+    that seed. Needs size >= dim for the normalizer
     S = sum g_y g_y^dag to be full rank; a numerically singular draw fails
     the completeness check with NumericalFailureError.
     """
+    return Povm._unchecked(random_povm_factors(dim, size, 1, seed)[0])
+
+
+def random_povm_factors(dim: int, size: int, count: int, seed: int) -> np.ndarray:
+    """Factors (count, size, dim, 1) of ``count`` random rank-one POVMs, built
+    as random_povm describes from one generator: all real parts of the
+    Gaussian draws first, then all imaginary parts. One inv_sqrt_psd call
+    whitens every normalizer and one stacked eigh checks every POVM's
+    completeness at POVM_ATOL."""
     if size < dim:
         raise DimensionMismatchError(
             f"random POVM needs size >= dim for a full-rank normalizer, "
             f"got size {size} < dim {dim}"
         )
     rng = np.random.default_rng(seed)
-    g = (rng.standard_normal((size, dim)) + 1j * rng.standard_normal((size, dim)))
+    shape = (count, size, dim)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     g /= np.sqrt(2.0)
-    s = np.einsum("yi,yj->ij", g, g.conj())
+    s = np.einsum("cyi,cyj->cij", g, g.conj())
     w = linalg.inv_sqrt_psd(s)
-    h = g @ w.T  # h_y = w @ g_y since w is symmetric under transpose-conj
-    return Povm.from_factors(h[:, :, None])
+    h = g @ w.swapaxes(1, 2)  # h_y = w @ g_y since w is symmetric under transpose-conj
+    _check_completeness(h.swapaxes(1, 2) @ h.conj())
+    return h[..., None]
 
 
 def random_kraus_channel(dim: int, n_ops: int, seed: int) -> KrausChannel:

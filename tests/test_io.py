@@ -17,7 +17,7 @@ from qleak import (
     resolve_ensemble,
 )
 from qleak.cli import EXIT_INPUT, EXIT_UNSUPPORTED, _exit_code
-from qleak.ensemble_io import builtin_names, canonical_json
+from qleak.ensemble_io import builtin_names, canonical_json, matrix_to_pairs, pairs_to_array
 from qleak.exceptions import (
     EnsembleConfigError,
     InvalidProbabilityError,
@@ -29,6 +29,18 @@ from helpers import map_state, random_density
 
 def pair_matrix(matrix):
     return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_matrix_to_pairs_mirrors_pairs_to_array(seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    m[0, 0], m[1, 1], m[2, 2] = -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)
+    for matrix in (m, m.real, m.T, np.eye(3)):
+        pairs = matrix_to_pairs(matrix)
+        # The same JSON, signed zeros included, as one float pair per entry.
+        assert json.dumps(pairs) == json.dumps(pair_matrix(matrix))
+        assert np.array_equal(pairs_to_array(pairs, 2, "matrix"), matrix)
 
 
 BASIC = {

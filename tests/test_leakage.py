@@ -29,6 +29,7 @@ from qleak import (
 from qleak import leakage
 from qleak.ensemble_io import resolve_ensemble
 from qleak.leakage import WHITENING_REG
+from qleak.states import random_povm_factors
 from qleak.exceptions import (
     DimensionMismatchError,
     InvalidProbabilityError,
@@ -750,6 +751,43 @@ class TestVerifyProperties:
         report = verify_properties(encode_index(2), AscentConfig(restarts=2, seed=0),
                                    checks=("povm_dominance",))
         (check,) = report.checks
+        assert not check.passed and "nan" in check.detail
+
+    @pytest.mark.parametrize("index", [None, 1])
+    def test_stacked_probes_match_the_one_povm_scores(self, index):
+        # index4, or criterion-5 fuzz #index with its config.
+        ensemble, cfg = ((encode_index(4), AscentConfig(restarts=2, seed=0))
+                         if index is None else criterion5_fuzz(index))
+        probes = random_povm_factors(ensemble.dim, ensemble.dim ** 2,
+                                     leakage.DOMINANCE_PROBES, cfg.seed + 1000)
+        info, bits = leakage._probe_scores(ensemble, probes)
+        assert info.shape == bits.shape == (leakage.DOMINANCE_PROBES,)
+        for probe, mi, objective_bits in zip(probes, info, bits):
+            povm = Povm.from_factors(probe)
+            assert abs(mi - mutual_information(ensemble, povm)) <= 1e-12
+            assert abs(objective_bits - leakage_objective(ensemble, povm)[1]) <= 1e-12
+        (check,) = verify_properties(ensemble, cfg, checks=("povm_dominance",)).checks
+        optimum = compute_leakage(ensemble, cfg).optimal_povm
+        worst = max(mutual_information(ensemble, optimum)
+                    - leakage_objective(ensemble, optimum)[1], np.max(info - bits))
+        assert check.passed
+        assert check.detail == f"max I(X;Y) - log2(objective) = {worst:.3e} over 101 POVMs"
+
+    def test_nan_in_stacked_mutual_information_fails_dominance(self, monkeypatch):
+        original, blocks = leakage._mutual_information, []
+
+        def one_nan(priors, probs):
+            values = original(priors, probs)
+            if values.ndim:          # a block of probes, not the optimum's one value
+                blocks.append(len(values))
+                if len(blocks) == 4:
+                    values[7] = np.nan
+            return values
+
+        monkeypatch.setattr(leakage, "_mutual_information", one_nan)
+        (check,) = verify_properties(encode_index(2), AscentConfig(restarts=2, seed=0),
+                                     checks=("povm_dominance",)).checks
+        assert blocks == [leakage.DOMINANCE_BLOCK] * 10
         assert not check.passed and "nan" in check.detail
 
     def test_nan_closed_form_fails_noise_checks(self, monkeypatch):

@@ -104,6 +104,45 @@ class TestInvSqrtPsd:
                 inv_sqrt_psd([[1e308, 1e308], [1e308, 1e308]])
 
 
+class TestStacks:
+    """herm_eig and inv_sqrt_psd on a (k, d, d) stack: each matrix gets what
+    it gets alone, and one bad matrix fails the whole stack."""
+
+    @staticmethod
+    def stack(dim=4, count=5, seed=0):
+        rng = np.random.default_rng(seed)
+        return np.stack([random_psd(dim, rng) for _ in range(count)])
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_stack_equals_the_per_matrix_calls(self, dim):
+        s = self.stack(dim)
+        vals, vecs = herm_eig(s)
+        out = inv_sqrt_psd(s, 1e-12)
+        for k, m in enumerate(s):
+            one_vals, one_vecs = herm_eig(m)
+            assert np.array_equal(vals[k], one_vals) and np.array_equal(vecs[k], one_vecs)
+            assert np.array_equal(out[k], inv_sqrt_psd(m, 1e-12))
+
+    def test_one_matrix_below_the_floor_fails_the_stack(self):
+        s = self.stack()
+        s[2] = np.diag([1.0, 1.0, 1.0, -1.1 * ATOL])
+        with pytest.raises(NotPsdError, match="^eigenvalue -1.100e-09 below PSD floor"):
+            inv_sqrt_psd(s)
+        s[2] = np.diag([1.0, 1.0, 1.0, -0.9 * ATOL])
+        assert np.isfinite(inv_sqrt_psd(s)).all()
+
+    @pytest.mark.parametrize("func", [herm_eig, inv_sqrt_psd])
+    def test_one_nan_entry_fails_the_stack(self, func):
+        s = self.stack()
+        s[3, 1, 2] = np.nan
+        with pytest.raises(NumericalFailureError, match="^matrix has an entry"):
+            func(s)
+
+    def test_non_square_stack(self):
+        with pytest.raises(NonSquareError, match="got shape \\(2, 2, 3\\)$"):
+            herm_eig(np.zeros((2, 2, 3)))
+
+
 class TestHermitianHelpers:
     @pytest.mark.parametrize("seed", range(3))
     def test_hermitize_is_the_halved_sum(self, seed):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 import warnings
@@ -22,7 +23,7 @@ from qleak import (
     random_povm,
 )
 from qleak.linalg import herm_eig, inv_sqrt_psd
-from qleak.states import qubit_count
+from qleak.states import qubit_count, random_povm_factors
 from qleak.exceptions import (
     DimensionMismatchError,
     DimensionOverflowError,
@@ -536,3 +537,44 @@ class TestRandomPovm:
     def test_degenerate_when_undersized(self):
         with pytest.raises(DimensionMismatchError):
             random_povm(4, 2, seed=0)
+
+    # sha256 of the factors below, taken when random_povm built one POVM per
+    # generator on its own; recorded with numpy 2.4.6 (its bundled OpenBLAS),
+    # whose eigensolver fixes the last bits.
+    PINNED_SHA256 = "70315ce3b4f0db69504ab0327643b0364296becb6d85d805be816d3ff60af9f9"
+    PINNED_NUMPY = "2.4.6"
+
+    def test_factors_did_not_move(self):
+        digest = hashlib.sha256()
+        for dim, size in [(2, 4), (3, 9), (4, 16), (8, 64)]:
+            for seed in range(50):
+                factors = random_povm(dim, size, seed).factors
+                # The one-POVM-per-generator construction, spelled out; unlike
+                # the digest, this comparison needs no particular LAPACK build.
+                rng = np.random.default_rng(seed)
+                g = (rng.standard_normal((size, dim))
+                     + 1j * rng.standard_normal((size, dim))) / np.sqrt(2.0)
+                w = inv_sqrt_psd(np.einsum("yi,yj->ij", g, g.conj()))
+                assert np.array_equal(factors, (g @ w.T)[:, :, None])
+                digest.update(np.ascontiguousarray(factors).tobytes())
+        if np.__version__ == self.PINNED_NUMPY:
+            assert digest.hexdigest() == self.PINNED_SHA256
+
+    @pytest.mark.parametrize("dim, size", [(2, 4), (3, 9), (4, 4), (8, 64)])
+    def test_stack_builds_each_povm_as_alone(self, dim, size):
+        stack = random_povm_factors(dim, size, 6, seed=7)
+        assert stack.shape == (6, size, dim, 1)
+        # One generator: every real part first, then every imaginary part.
+        rng = np.random.default_rng(7)
+        g = (rng.standard_normal((6, size, dim))
+             + 1j * rng.standard_normal((6, size, dim))) / np.sqrt(2.0)
+        for factors, draw in zip(stack, g):
+            w = inv_sqrt_psd(np.einsum("yi,yj->ij", draw, draw.conj()))
+            assert np.array_equal(factors, (draw @ w.T)[:, :, None])
+            Povm.from_factors(factors)          # complete within POVM_ATOL
+        assert np.array_equal(random_povm_factors(dim, size, 1, seed=7)[0],
+                              random_povm(dim, size, seed=7).factors)
+
+    def test_stack_checks_size(self):
+        with pytest.raises(DimensionMismatchError):
+            random_povm_factors(4, 2, 3, seed=0)
