@@ -85,15 +85,19 @@ class AscentConfig:
     size that always suffices for the optimum.
 
     Each iteration tries the step mu first and halves it while the objective
-    would fall. The default 0.5 keeps the tilt G = I + mu (rho^x - D),
-    D = sum_z rho^{x*(z)} F_z (see ascent_step), safely invertible: at the
-    optimum of an index ensemble D = I and rho^x - D = -(I - |x><x|), so G
-    is singular at mu = 1 and its spectrum stays at least 1/2 at mu = 0.5.
-    Longer steps stall near such optima; 0.1 needs about five times the
-    iterations.
+    would fall. The default 0.7 keeps the tilt G = I + mu (rho^x - D),
+    D = sum_z rho^{x*(z)} F_z (see ascent_step), invertible with a margin:
+    at the optimum of an index ensemble D = I and rho^x - D = -(I - |x><x|),
+    so G is singular at mu = 1 and its smallest eigenvalue is 1 - mu = 0.3.
+    At AscentConfig(seed=0) the iteration sums are 120 (index8), 262
+    (amplitude3) and 115 (index4), against 190, 374 and 178 at step 0.5.
+    The default stops at 0.7 because longer steps lose value against 0.5:
+    0.75 lowers index2 at seed 10 by 2.9e-11 bits, and 0.8 lowers index2,
+    index4 and index8 at each of seeds 0, 10 and 20, and amplitude3 at
+    seed 20.
     """
 
-    mu: float = 0.5
+    mu: float = 0.7
     eps: float = 1e-9
     max_iters: int = 10000
     restarts: int = 10
@@ -626,8 +630,9 @@ def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
     zero); "povm_dominance" (I(X;Y) never exceeds the per-measurement
     objective in bits, probed on the optimizer's POVM plus DOMINANCE_PROBES
     random ones with d^2 outcomes, drawn from one generator seeded
-    cfg.seed + 1000 and scored as one stack); "data_processing" (a channel, a seeded
-    random one if none is supplied, cannot increase leakage);
+    cfg.seed + 1000; the optimizer's POVM and the probes are scored as one
+    stack); "data_processing" (a channel, a seeded random one if none is
+    supplied, cannot increase leakage);
     "global_noise_exactness" (noise_curve, carrying the baseline report,
     matches the closed-form global transfer on noise_grid);
     "local_noise_bound" (per-qubit noise respects its upper bound; skipped
@@ -665,11 +670,11 @@ def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
             f"max pairwise two-state bits={pair_bits:.3e}, leakage_bits={q0:.3e}"))
 
     if "povm_dominance" in checks:
-        optimum = baseline.optimal_povm
-        info, bits = _probe_scores(ensemble, random_povm_factors(
-            ensemble.dim, ensemble.dim ** 2, DOMINANCE_PROBES, cfg.seed + 1000))
-        gaps = np.append(mutual_information(ensemble, optimum)
-                         - leakage_objective(ensemble, optimum)[1], info - bits)
+        probes = random_povm_factors(ensemble.dim, ensemble.dim ** 2,
+                                     DOMINANCE_PROBES, cfg.seed + 1000)
+        info, bits = _probe_scores(ensemble, np.concatenate(
+            [baseline.optimal_povm.factors[None], probes]))
+        gaps = info - bits
         results.append(PropertyCheck(
             "povm_dominance", bool(np.all(gaps <= 1e-9)),
             f"max I(X;Y) - log2(objective) = {np.max(gaps):.3e} "

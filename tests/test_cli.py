@@ -237,7 +237,7 @@ class TestNoiseSweep:
                      "local", "--p-steps", "3", "--restarts", "2", "--out", str(out)]) == 0
         lines = (out / "noise_sweep.csv").read_text().splitlines()
         config = json.loads(lines[0][len("# manifest: "):])["config"]
-        # p = 0 reports the noiseless solve. The noiseless gap is about 4e-5
+        # p = 0 reports the noiseless solve. The noiseless gap is about 3e-5
         # bits, so p = 0.5 is solved; at p = 1 every state is I/8 and the
         # interval closes.
         assert config["solved_p"] == [0.5]
@@ -354,7 +354,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("name, check, replacement", [
         # I(X;Y) of 2 bits exceeds the 1-bit objective of any index2 POVM.
-        ("mutual_information", "povm_dominance", lambda e, f: 2.0),
+        ("_mutual_information", "povm_dominance",
+         lambda priors, probs: np.full(len(probs), 2.0)),
         # 5 bits exceed index2's 1-bit ceiling; only the check compares them.
         ("_bits", "ceiling", lambda objective: 5.0),
     ], ids=["povm_dominance", "ceiling"])
