@@ -238,9 +238,7 @@ def _cmd_noise_sweep(run: _Run) -> int:
     report = compute_leakage(run.ensemble, run.cfg)
     q0 = report.leakage_bits
     grid = np.linspace(args.p_start, args.p_end, args.p_steps)
-    solved: list[float] = []
-    curve = noise_curve(run.ensemble, args.channel, grid, run.cfg, q0,
-                        report=report, solved=solved)
+    curve, solved = noise_curve(run.ensemble, args.channel, grid, run.cfg, report)
     rows = [(p, direct, formula, direct / q0 if q0 > 1e-12 else 1.0)
             for p, direct, formula in curve]
     manifest = run.manifest(channel=args.channel, p_start=args.p_start, p_end=args.p_end,

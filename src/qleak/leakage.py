@@ -17,8 +17,8 @@ quantity, so no separate multi-guess computation exists.
 
 Each solve is certified: its POVM gives the lower bound, and a dual point
 Y >= rho^x for every x the upper one, both formed by certify. Both move
-through a channel without a new solve, which is how noise_curve skips the
-grid points where the moved interval stays tight.
+through a channel N without a new solve, Y as N(Y): noise_curve carries
+both, and verify's channel checks carry N(Y) alone (_upper_or_solve).
 
 Closed-form companions: the exact two-state value log2(1 + T), a brute-force
 qubit search, the global depolarizing transfer formula and the per-qubit
@@ -127,16 +127,15 @@ def _check_count(name: str, value, low: int):
 class ConvergenceTrace:
     """Per-iteration history of one restart, and why it stopped.
 
-    stop_reason is "eps" (the objective changed by less than eps),
+    objectives and step_sizes hold iterations 0..n, 0 the random start with
+    step 0. stop_reason is "eps" (the objective changed by less than eps),
     "step_floor" (no step down to MU_MIN kept the objective, so the iterate
     was held; this also counts as converged) or "max_iters" (the cap).
     backtracks counts the step halvings: the step trials beyond the first
     of each iteration.
     """
 
-    iterations: list[int] = field(default_factory=list)
     objectives: list[float] = field(default_factory=list)
-    leakage_bits: list[float] = field(default_factory=list)
     step_sizes: list[float] = field(default_factory=list)
     stop_reason: str = ""
     backtracks: int = 0
@@ -145,11 +144,13 @@ class ConvergenceTrace:
     def converged(self) -> bool:
         return self.stop_reason in ("eps", "step_floor")
 
-    def append(self, iteration: int, objective: float, bits: float, step: float):
-        self.iterations.append(iteration)
-        self.objectives.append(objective)
-        self.leakage_bits.append(bits)
-        self.step_sizes.append(step)
+    @property
+    def iterations(self) -> list[int]:
+        return list(range(len(self.objectives)))
+
+    @property
+    def leakage_bits(self) -> list[float]:
+        return [_bits(objective) for objective in self.objectives]
 
     def rows(self):
         """(iteration, objective, leakage_bits, step_size) tuples."""
@@ -265,14 +266,6 @@ def _dual_upper(states: np.ndarray, dual: np.ndarray):
     return float(np.trace(dual).real) - len(dual) * low, dual - low * np.eye(len(dual))
 
 
-def _transfer(report: LeakageReport, channel: KrausChannel, mapped: Ensemble):
-    """Certified interval (lower, upper) of the objective of ``mapped``, the
-    solved ensemble mapped through ``channel``, without a solve: certify on
-    the report's POVM and the channel's image N(Y) of its dual point."""
-    return certify(mapped.state_stack(), report.optimal_povm.factors,
-                   _kraus_sum(channel.kraus_ops, report.dual))[:2]
-
-
 def ascent_step(ensemble: Ensemble, povm: Povm, mu: float) -> Povm:
     """One step of the measurement update.
 
@@ -328,9 +321,8 @@ def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
     columns = np.stack([_columns(random_povm(dim, outcomes, cfg.seed + i).factors)
                         for i in range(cfg.restarts)])
     objectives, picked = _evaluate(states, columns)   # rank-one starts
-    history = [ConvergenceTrace() for _ in range(cfg.restarts)]
-    for trace, objective in zip(history, objectives.tolist()):
-        trace.append(0, objective, _bits(objective), 0.0)
+    history = [ConvergenceTrace(objectives=[value], step_sizes=[0.0])
+               for value in objectives.tolist()]
     finals = [None] * cfg.restarts
     rows = np.arange(cfg.restarts)       # restart index of each stack row
     mu = np.full(cfg.restarts, float(cfg.mu))
@@ -356,11 +348,11 @@ def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
         moved, floored = changes.tolist(), held.tolist()
         for i in np.flatnonzero(iterated).tolist():
             trace = history[restarts[i]]
-            iteration = trace.iterations[-1] + 1
-            trace.append(iteration, values[i], _bits(values[i]), steps[i])
+            trace.objectives.append(values[i])
+            trace.step_sizes.append(steps[i])
             if moved[i] < cfg.eps:
                 trace.stop_reason = "step_floor" if floored[i] else "eps"
-            elif iteration == cfg.max_iters:
+            elif len(trace.objectives) > cfg.max_iters:
                 trace.stop_reason = "max_iters"
             else:
                 continue
@@ -374,7 +366,7 @@ def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
             rows, mu, objectives = rows[running], mu[running], objectives[running]
             columns, picked = columns[running], picked[running]
 
-    restart_leakages = [trace.leakage_bits[-1] for trace in history]
+    restart_leakages = [_bits(trace.objectives[-1]) for trace in history]
     best = int(np.argmax(restart_leakages))
     final_columns, final_picked = finals[best]
     factors = _factors(final_columns, outcomes)
@@ -508,46 +500,51 @@ def noisy_leakage_local_bound(q_bits: float, p: float, qubits: int) -> float:
     return math.log2(pk + (1.0 - pk) * 2.0 ** q_bits)
 
 
-def noise_curve(ensemble: Ensemble, kind: str, grid, cfg: AscentConfig,
-                q_bits: float, report: LeakageReport | None = None,
-                solved: list[float] | None = None) -> list[tuple[float, float, float]]:
-    """Leakage of the depolarized ensemble against its closed form.
-
-    For each p in grid, returns (p, direct_bits, closed_form_bits): the
-    leakage after noise of the given kind (see states.NOISE_KINDS) and the
-    closed form evaluated at the noiseless leakage q_bits. Global noise
-    transfers exactly as log2(p + (1-p) 2^q); per-qubit noise on k qubits
-    is bounded by log2(p^k + (1-p^k) 2^q). Raises UnsupportedDimensionError
-    for per-qubit noise on a dimension that is not a power of two, before
-    any solve.
-
-    direct_bits is always the value of a feasible measurement. Without a
-    report it is a fresh solve at every p with cfg. Given the noiseless
-    ensemble's report, p = 0 (the identity channel) reports its
-    leakage_bits; at any other p, certify bounds its POVM and dual point
-    carried through the channel (see _transfer), and an interval at most
-    TRANSFER_GAP_BITS wide reports its lower end without a solve. The p of
-    every point that was solved is appended to ``solved``, if given.
-    """
+def _noise_points(ensemble: Ensemble, kind: str, grid, q_bits: float):
+    """Yield (p, channel, noisy, closed_form) for each p in grid: the noise
+    channel of the given kind (see states.NOISE_KINDS), the ensemble mapped
+    through it, and the closed form at the noiseless leakage q_bits. Global
+    noise transfers exactly as log2(p + (1-p) 2^q); per-qubit noise on k
+    qubits is bounded by log2(p^k + (1-p^k) 2^q). Raises
+    UnsupportedDimensionError for per-qubit noise on a dimension that is not
+    a power of two, before the first point."""
     qubits = qubit_count(ensemble.dim) if kind == "local" else 1
-    rows = []
-    for p in grid:
-        p = float(p)
+    for p in map(float, grid):
         channel = depolarizing(kind, p, ensemble.dim)
-        noisy = ensemble.transform(channel)
-        bits = None
-        if report is not None and p == 0.0:
+        yield (p, channel, ensemble.transform(channel),
+               noisy_leakage_local_bound(q_bits, p, qubits))
+
+
+def noise_curve(ensemble: Ensemble, kind: str, grid, cfg: AscentConfig,
+                report: LeakageReport):
+    """Leakage of the depolarized ensemble against its closed form, carried
+    from ``report``, the noiseless ensemble's solve.
+
+    Returns (rows, solved): a row (p, direct_bits, closed_form_bits) for
+    each point of _noise_points at q = report.leakage_bits, and the p of
+    every point solved with cfg. direct_bits is always the value of a
+    feasible measurement: report.leakage_bits at p = 0 (the identity
+    channel); elsewhere certify bounds the report's POVM and its dual point
+    Y carried to N(Y), and an interval at most TRANSFER_GAP_BITS wide
+    reports its lower end, a wider one a solve's value. Per-qubit noise on
+    a dimension that is not a power of two raises UnsupportedDimensionError
+    before any solve.
+    """
+    rows, solved = [], []
+    for p, channel, noisy, closed_form in _noise_points(ensemble, kind, grid,
+                                                        report.leakage_bits):
+        if p == 0.0:
             bits = report.leakage_bits
-        elif report is not None:
-            lower, upper = _transfer(report, channel, noisy)
+        else:
+            lower, upper, _ = certify(noisy.state_stack(), report.optimal_povm.factors,
+                                      _kraus_sum(channel.kraus_ops, report.dual))
             if _bits(upper) - _bits(lower) <= TRANSFER_GAP_BITS:
                 bits = _bits(lower)
-        if bits is None:
-            bits = compute_leakage(noisy, cfg).leakage_bits
-            if solved is not None:
+            else:
+                bits = compute_leakage(noisy, cfg).leakage_bits
                 solved.append(p)
-        rows.append((p, bits, noisy_leakage_local_bound(q_bits, p, qubits)))
-    return rows
+        rows.append((p, bits, closed_form))
+    return rows, solved
 
 
 @dataclass
@@ -581,40 +578,19 @@ ALL_PROPERTY_CHECKS = (
 )
 
 
-def _upper_or_solve(upper: float, line: float, mapped: Ensemble, cfg: AscentConfig):
-    """(bits, solved) for a test that mapped's leakage is <= line: log2 of
-    certify's upper end ``upper`` on mapped if it is <= line, since it bounds
-    every POVM's value there up to eigvalsh roundoff, else a solve's value."""
-    if _bits(upper) <= line:
-        return _bits(upper), False
+def _upper_or_solve(report: LeakageReport, channel: KrausChannel, mapped: Ensemble,
+                    line: float, cfg: AscentConfig):
+    """(bits, solved) for a test that the leakage of ``mapped``, the solved
+    ensemble mapped through ``channel``, is <= line: log2 of certify's upper
+    end on mapped from the report's dual point Y carried to N(Y), if it is
+    <= line, since it bounds every POVM's value there up to eigvalsh
+    roundoff, else a solve's value. The dual alone carries it, since the
+    channel may change the dimension."""
+    upper = _bits(_dual_upper(mapped.state_stack(),
+                              _kraus_sum(channel.kraus_ops, report.dual))[0])
+    if upper <= line:
+        return upper, False
     return compute_leakage(mapped, cfg).leakage_bits, True
-
-
-def _local_noise_bound(ensemble: Ensemble, baseline: LeakageReport,
-                       cfg: AscentConfig, noise_grid) -> PropertyCheck:
-    """The local_noise_bound check: at every p of noise_grid the leakage
-    after per-qubit noise is at most 1e-3 bits above the paper's bound
-    g_p = log2(p^k + (1-p^k) 2^q0), each p settled by _upper_or_solve on the
-    baseline carried through the channel (see _transfer). Raises
-    UnsupportedDimensionError before any solve for a non-power-of-two d."""
-    qubits = qubit_count(ensemble.dim)
-    q0 = baseline.leakage_bits
-    excesses, solved = [], []
-    for p in map(float, noise_grid):
-        channel = depolarizing("local", p, ensemble.dim)
-        noisy = ensemble.transform(channel)
-        bound = noisy_leakage_local_bound(q0, p, qubits)
-        value, solve = _upper_or_solve(_transfer(baseline, channel, noisy)[1],
-                                       bound + 1e-3, noisy, cfg)
-        if solve:
-            solved.append(p)
-        excesses.append(value - bound)
-    return PropertyCheck(
-        "local_noise_bound", all(ex <= 1e-3 for ex in excesses),
-        f"max (certified upper or direct) - bound = "
-        f"{np.max(excesses, initial=-np.inf):.3e} over p grid {noise_grid}; "
-        f"certified {len(noise_grid) - len(solved)}/{len(noise_grid)}, "
-        f"solved p {solved}")
 
 
 def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
@@ -635,10 +611,10 @@ def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
     supplied, cannot increase leakage);
     "global_noise_exactness" (noise_curve, carrying the baseline report,
     matches the closed-form global transfer on noise_grid);
-    "local_noise_bound" (per-qubit noise respects its upper bound; skipped
-    when the dimension is not a power of two). data_processing and
-    local_noise_bound carry the baseline's certificate through the channel
-    and solve only where its upper end misses their bound (_upper_or_solve).
+    "local_noise_bound" (per-qubit noise respects its upper bound; skipped,
+    before any point is solved, when the dimension is not a power of two).
+    data_processing and local_noise_bound settle each channel with one
+    _upper_or_solve on the baseline report.
     A check passes only if every value it compares meets its tolerance, so
     a NaN fails it. ``threads`` is accepted for compatibility and ignored.
     """
@@ -685,30 +661,41 @@ def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
                                                cfg.seed + 104729)
         # N(Y) >= N(rho^x) and tr N(Y) = tr Y give Q(after) <= U_after <= upper;
         # the 1e-6 covers POVM_ATOL completeness and the channel's ATOL slack.
-        mapped, upper = ensemble.transform(chan), baseline.upper_bound_bits
-        carried = _kraus_sum(chan.kraus_ops, baseline.dual)
-        after, solve = _upper_or_solve(_dual_upper(mapped.state_stack(), carried)[0],
-                                       upper + 1e-6, mapped, cfg)
+        upper = baseline.upper_bound_bits
+        after, solve = _upper_or_solve(baseline, chan, ensemble.transform(chan),
+                                       upper + 1e-6, cfg)
         results.append(PropertyCheck(
             "data_processing", after <= upper + 1e-6,
             f"{'solved' if solve else 'certified upper'} after={after:.9f} <= "
             f"certified upper before={upper:.9f} + 1e-6"))
 
     if "global_noise_exactness" in checks:
-        solved = []
-        errors = [abs(direct - formula) for _, direct, formula in
-                  noise_curve(ensemble, "global", noise_grid, cfg, q0,
-                              report=baseline, solved=solved)]
+        rows, solved = noise_curve(ensemble, "global", noise_grid, cfg, baseline)
+        errors = [abs(direct - formula) for _, direct, formula in rows]
         results.append(PropertyCheck(
             "global_noise_exactness", all(err <= 2e-3 for err in errors),
             f"max |direct - formula| = {np.max(errors, initial=0.0):.3e} "
             f"over p grid {noise_grid}; solved p {solved}"))
 
     if "local_noise_bound" in checks:
+        # Each p passes if the leakage after per-qubit noise is at most 1e-3
+        # bits above the paper's bound g_p = log2(p^k + (1-p^k) 2^q0).
+        excesses, solved = [], []
         try:
-            results.append(_local_noise_bound(ensemble, baseline, cfg, noise_grid))
+            for p, chan, noisy, bound in _noise_points(ensemble, "local", noise_grid, q0):
+                value, solve = _upper_or_solve(baseline, chan, noisy, bound + 1e-3, cfg)
+                if solve:
+                    solved.append(p)
+                excesses.append(value - bound)
         except UnsupportedDimensionError as exc:
             results.append(PropertyCheck(
                 "local_noise_bound", True, f"skipped: {exc}", skipped=True))
+        else:
+            results.append(PropertyCheck(
+                "local_noise_bound", all(ex <= 1e-3 for ex in excesses),
+                f"max (certified upper or direct) - bound = "
+                f"{np.max(excesses, initial=-np.inf):.3e} over p grid {noise_grid}; "
+                f"certified {len(noise_grid) - len(solved)}/{len(noise_grid)}, "
+                f"solved p {solved}"))
 
     return PropertyReport(results)

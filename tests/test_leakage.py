@@ -591,6 +591,20 @@ class TestCertificate:
         assert calls == {"inv_sqrt_psd": 3 + iters + backtracks, "random_povm": 3}
 
 
+def widen_later_dual_ends(monkeypatch):
+    """Patch leakage._dual_upper so that the first call, the baseline solve's
+    own certificate, keeps its end and every later end, each carried one
+    included, is 8: 3 bits, which settles no channel of 2-bit index4."""
+    original, calls = leakage._dual_upper, []
+
+    def widened(states, dual):
+        upper, point = original(states, dual)
+        calls.append(upper)
+        return (upper if len(calls) == 1 else 8.0), point
+
+    monkeypatch.setattr(leakage, "_dual_upper", widened)
+
+
 def index4_exact(kind, p):
     """index4's leakage under depolarizing noise: log2(p + 4 (1 - p)) for
     global noise; per-qubit noise keeps the states diagonal and flips each
@@ -598,6 +612,14 @@ def index4_exact(kind, p):
     if kind == "global":
         return math.log2(p + 4.0 * (1.0 - p))
     return 2.0 + 2.0 * math.log2(1.0 - p / 2.0)
+
+
+def carried_interval(report, channel, mapped):
+    """certify's (lower, upper) on ``mapped``, the solved ensemble mapped
+    through ``channel``: the report's POVM and its dual point Y carried to
+    N(Y)."""
+    return certify(mapped.state_stack(), report.optimal_povm.factors,
+                   leakage._kraus_sum(channel.kraus_ops, report.dual))[:2]
 
 
 class TestTransfer:
@@ -610,7 +632,7 @@ class TestTransfer:
         report = compute_leakage(ensemble, AscentConfig(restarts=2, seed=0))
         for p in np.linspace(0.0, 1.0, 11):
             channel = depolarizing(kind, float(p), 4)
-            lower, upper = leakage._transfer(report, channel, ensemble.transform(channel))
+            lower, upper = carried_interval(report, channel, ensemble.transform(channel))
             exact = index4_exact(kind, float(p))
             assert leakage._bits(lower) <= exact + 1e-12 <= leakage._bits(upper) + 2e-12
             assert leakage._bits(upper) - leakage._bits(lower) <= leakage.TRANSFER_GAP_BITS
@@ -623,25 +645,33 @@ class TestTransfer:
         report = compute_leakage(ensemble, cfg)
         channel = random_kraus_channel(3, 3, seed + 50)
         mapped = ensemble.transform(channel)
-        lower, upper = leakage._transfer(report, channel, mapped)
+        lower, upper = carried_interval(report, channel, mapped)
         direct = compute_leakage(mapped, cfg).leakage_bits
         assert direct <= leakage._bits(upper) + 1e-12
         assert leakage._bits(upper) <= report.upper_bound_bits + 1e-9
         assert lower <= upper
 
-    def test_noise_curve_without_a_report_solves_every_point(self, monkeypatch):
-        ensemble, cfg = encode_index(2), AscentConfig(restarts=1, seed=0)
+    @pytest.mark.parametrize("kind", ["global", "local"])
+    def test_noise_curve_matches_a_solve_at_every_point(self, monkeypatch, kind):
+        ensemble, cfg = encode_index(4), AscentConfig(restarts=2, seed=0)
+        report = compute_leakage(ensemble, cfg)
+        grid = np.linspace(0.0, 1.0, 11)
+        calls = count_solves(monkeypatch)
+        rows, solved = leakage.noise_curve(ensemble, kind, grid, cfg, report)
+        assert calls == [] and solved == [] and len(rows) == len(grid)
+        qubits = 2 if kind == "local" else 1
+        for p, (at, carried, closed_form) in zip(grid.tolist(), rows):
+            solve = compute_leakage(ensemble.transform(depolarizing(kind, p, 4)), cfg)
+            assert at == p and carried == pytest.approx(solve.leakage_bits, abs=1e-6)
+            assert closed_form == noisy_leakage_local_bound(report.leakage_bits, p, qubits)
+
+    def test_local_noise_on_a_non_power_of_two_raises_before_any_solve(self, monkeypatch):
+        ensemble, cfg = encode_index(3), AscentConfig(restarts=2, seed=0)
         report = compute_leakage(ensemble, cfg)
         calls = count_solves(monkeypatch)
-        solved = []
-        plain = leakage.noise_curve(ensemble, "global", (0.0, 0.5), cfg,
-                                    report.leakage_bits, solved=solved)
-        assert len(calls) == 2 and solved == [0.0, 0.5]
-        carried = leakage.noise_curve(ensemble, "global", (0.0, 0.5), cfg,
-                                      report.leakage_bits, report=report)
-        assert len(calls) == 2
-        for (_, direct, formula), (_, moved, same) in zip(plain, carried):
-            assert moved == pytest.approx(direct, abs=1e-6) and same == formula
+        with pytest.raises(UnsupportedDimensionError):
+            leakage.noise_curve(ensemble, "local", (0.0, 0.5, 1.0), cfg, report)
+        assert calls == []
 
 
 class TestMutualInformation:
@@ -829,10 +859,10 @@ class TestVerifyProperties:
         ensemble, cfg = encode_index(4), AscentConfig(restarts=2, seed=0)
         grid = (0.0, 0.3, 0.7, 1.0)
         q0 = compute_leakage(ensemble, cfg).leakage_bits
-        worst = max(direct - bound for _, direct, bound in
-                    leakage.noise_curve(ensemble, "local", grid, cfg, q0))
-        # An upper end of 8, i.e. 3 bits, settles no point of a 2-bit ensemble.
-        monkeypatch.setattr(leakage, "_transfer", lambda report, channel, mapped: (1.0, 8.0))
+        worst = max(compute_leakage(ensemble.transform(depolarizing("local", p, 4)),
+                                    cfg).leakage_bits - noisy_leakage_local_bound(q0, p, 2)
+                    for p in grid)
+        widen_later_dual_ends(monkeypatch)
         calls = count_solves(monkeypatch)
         (check,) = verify_properties(ensemble, cfg, checks=("local_noise_bound",),
                                      noise_grid=grid).checks
@@ -849,7 +879,8 @@ class TestVerifyProperties:
         baseline = compute_leakage(ensemble, cfg)
         channel = depolarizing("local", 0.4, ensemble.dim)
         noisy = ensemble.transform(channel)
-        upper = leakage._bits(leakage._transfer(baseline, channel, noisy)[1])
+        upper = leakage._bits(leakage._dual_upper(
+            noisy.state_stack(), leakage._kraus_sum(channel.kraus_ops, baseline.dual))[0])
         bound = noisy_leakage_local_bound(baseline.leakage_bits, 0.4,
                                           int(math.log2(ensemble.dim)))
         fresh = compute_leakage(noisy, cfg).leakage_bits
@@ -898,16 +929,7 @@ class TestVerifyProperties:
     def test_wide_carried_upper_end_falls_back_to_a_solve(self, monkeypatch):
         ensemble, cfg, channel = self.data_processing_case(None)
         direct = compute_leakage(ensemble.transform(channel), cfg).leakage_bits
-        original, ends = leakage._dual_upper, []
-
-        def widened(states, dual):
-            # The baseline solve certifies first and keeps its own end; every
-            # later end, the carried one included, is 8: 3 bits for 2-bit index4.
-            upper, point = original(states, dual)
-            ends.append(upper)
-            return (upper if len(ends) == 1 else 8.0), point
-
-        monkeypatch.setattr(leakage, "_dual_upper", widened)
+        widen_later_dual_ends(monkeypatch)
         calls = count_solves(monkeypatch)
         (check,) = verify_properties(ensemble, cfg, channel=channel,
                                      checks=("data_processing",)).checks
