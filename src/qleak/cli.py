@@ -28,7 +28,6 @@ from .ensemble_io import (
     resolve_ensemble,
 )
 from .exceptions import (
-    DimensionOverflowError,
     EnsembleConfigError,
     InvalidChannelError,
     NotPsdError,
@@ -271,7 +270,7 @@ def _cmd_verify(run: _Run) -> int:
 
 
 def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, (UnsupportedDimensionError, DimensionOverflowError)):
+    if isinstance(exc, UnsupportedDimensionError):
         return EXIT_UNSUPPORTED
     if isinstance(exc, (NumericalFailureError, NotPsdError, InvalidChannelError,
                         np.linalg.LinAlgError)):

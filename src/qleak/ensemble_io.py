@@ -36,9 +36,9 @@ from .exceptions import EnsembleConfigError, QLeakError
 from .states import (
     NOISE_KINDS,
     DensityOperator,
+    DepolarizingChannel,
     Ensemble,
     KrausChannel,
-    depolarizing,
     encode_amplitude_3bit,
     encode_index,
 )
@@ -236,7 +236,7 @@ def resolve_ensemble(source: str) -> tuple[Ensemble, str]:
     return parse_ensemble_config(cfg), digest
 
 
-def parse_channel_config(cfg, dim: int) -> KrausChannel:
+def parse_channel_config(cfg, dim: int) -> KrausChannel | DepolarizingChannel:
     """Build a channel from its JSON form, sized for a given input dim."""
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise EnsembleConfigError("channel config must be an object with a 'kind'")
@@ -245,7 +245,7 @@ def parse_channel_config(cfg, dim: int) -> KrausChannel:
         p = cfg.get("p")
         if not _is_number(p):
             raise EnsembleConfigError(f"channel 'p' must be a number, got {p!r}")
-        return depolarizing(kind, float(p), dim)
+        return DepolarizingChannel(kind, float(p), dim)
     if kind == "kraus":
         ops_cfg = cfg.get("kraus_ops")
         if not isinstance(ops_cfg, list) or not ops_cfg:
@@ -263,7 +263,7 @@ def parse_channel_config(cfg, dim: int) -> KrausChannel:
     raise EnsembleConfigError(f"unknown channel kind {kind!r}")
 
 
-def load_channel(path: str, dim: int) -> tuple[KrausChannel, str]:
+def load_channel(path: str, dim: int) -> tuple[KrausChannel | DepolarizingChannel, str]:
     """Load a channel file; returns the channel and the sha256 of the bytes
     it was parsed from."""
     cfg, digest = _read_json(path, "channel")

@@ -39,10 +39,6 @@ class InvalidProbabilityError(QLeakError, ValueError):
     """A probability parameter lies outside [0, 1]."""
 
 
-class DimensionOverflowError(QLeakError, ValueError):
-    """Requested construction would blow up combinatorially."""
-
-
 class UnsupportedDimensionError(QLeakError, ValueError):
     """Operation is only implemented for a restricted set of dimensions."""
 

@@ -18,7 +18,8 @@ quantity, so no separate multi-guess computation exists.
 Each solve is certified: its POVM gives the lower bound, and a dual point
 Y >= rho^x for every x the upper one, both formed by certify. Both move
 through a channel N without a new solve, Y as N(Y): noise_curve carries
-both, and verify's channel checks carry N(Y) alone (_upper_or_solve).
+both, and verify's channel checks carry N(Y) alone (_upper_or_solve). A
+noise grid moves as one stack, with a leading grid axis (_noise_points).
 
 Closed-form companions: the exact two-state value log2(1 + T), a brute-force
 qubit search, the global depolarizing transfer formula and the per-qubit
@@ -38,7 +39,6 @@ import numpy as np
 from . import linalg
 from .exceptions import (
     DimensionMismatchError,
-    InvalidProbabilityError,
     NumericalFailureError,
     UnsupportedDimensionError,
 )
@@ -47,14 +47,15 @@ from .states import (
     Ensemble,
     Povm,
     KrausChannel,
+    _check_probability,
     _columns,
+    _depolarize,
     _factors,
-    _kraus_sum,
+    _noise_qubits,
     _products_and_traces,
+    _unit_trace,
     born_distribution,
     conditional_traces,
-    depolarizing,
-    qubit_count,
     random_kraus_channel,
     random_povm,
     random_povm_factors,
@@ -214,12 +215,12 @@ def leakage_objective(ensemble: Ensemble, povm: Povm):
     return objective, _bits(objective), winners
 
 
-def _evaluate(states: np.ndarray, columns: np.ndarray, rank: int = 1):
+def _evaluate(states: np.ndarray, columns: np.ndarray, rank: int = 1, work=(None, None)):
     """Score a stack of iterates, columns (R, d, m r) with factors of rank r:
     returns the objectives (R,) and the winning products rho^{x*(y)} H_y
     (R, d, m r) that the next step tilts toward, both from the one trace
-    kernel."""
-    products, traces = _products_and_traces(states, columns, rank)
+    kernel (with its ``work`` buffers)."""
+    products, traces = _products_and_traces(states, columns, rank, work)
     traces = traces.real
     # picked[i, :, y] = products[i, x*(y), :, y], x*(y) the winner of outcome y
     count, _, dim, outcomes, _ = products.shape
@@ -236,7 +237,7 @@ def _step(picked: np.ndarray, columns: np.ndarray, mu: np.ndarray) -> np.ndarray
         picked - drift.conj().swapaxes(1, 2) @ columns)         # G_y^dag H_y
     normalizer = grown @ grown.conj().swapaxes(1, 2)
     regs = WHITENING_REG * np.trace(normalizer, axis1=1, axis2=2).real / columns.shape[1]
-    whiteners = [linalg.inv_sqrt_psd(s, reg) for s, reg in zip(normalizer, regs)]
+    whiteners = [linalg.inv_sqrt_psd(s, reg) for s, reg in zip(normalizer, regs.tolist())]
     return np.stack(whiteners) @ grown
 
 
@@ -253,17 +254,19 @@ def certify(states: np.ndarray, factors: np.ndarray, dual: np.ndarray):
     and dual can be rechecked. Not covered: a POVM completeness defect of at
     most 1e-12, which costs at most 1.5e-12 bits (rescale by 1/(1 + defect)),
     and eigvalsh roundoff in l, about d u ||Y - rho^x|| (u the unit roundoff).
+    States (P, |X|, d, d) and duals (P, d, d) give (P,) ends, one per point.
     """
-    lower = float(_objectives(conditional_traces(states, factors).real))
+    lower = _objectives(conditional_traces(states, factors).real)
     upper, point = _dual_upper(states, dual)
-    return lower, max(upper, lower), point      # a NaN upper end stays NaN
+    return lower, np.maximum(upper, lower), point      # a NaN upper end stays NaN
 
 
 def _dual_upper(states: np.ndarray, dual: np.ndarray):
     """certify's tr Y - d l and point Y - l I, from ``dual`` alone."""
-    dual = linalg.hermitize(dual)
-    low = float(np.linalg.eigvalsh(dual - states)[:, 0].min())
-    return float(np.trace(dual).real) - len(dual) * low, dual - low * np.eye(len(dual))
+    dual, dim = linalg.hermitize(dual), dual.shape[-1]
+    low = np.linalg.eigvalsh(dual[..., None, :, :] - states)[..., 0].min(axis=-1)
+    upper = np.trace(dual, axis1=-2, axis2=-1).real - dim * low
+    return upper, dual - low[..., None, None] * np.eye(dim)
 
 
 def ascent_step(ensemble: Ensemble, povm: Povm, mu: float) -> Povm:
@@ -320,50 +323,51 @@ def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
     outcomes = dim * dim
     columns = np.stack([_columns(random_povm(dim, outcomes, cfg.seed + i).factors)
                         for i in range(cfg.restarts)])
-    objectives, picked = _evaluate(states, columns)   # rank-one starts
-    history = [ConvergenceTrace(objectives=[value], step_sizes=[0.0])
-               for value in objectives.tolist()]
+    # One pair of trace-kernel buffers for the whole solve: new arrays of this
+    # size in every pass cost page faults, more or fewer by allocator state.
+    work = (np.empty((cfg.restarts, ensemble.size * dim, outcomes), dtype=np.complex128),
+            np.empty((cfg.restarts, ensemble.size, dim, outcomes, 1), dtype=np.complex128))
+    objectives, picked = _evaluate(states, columns, 1, work)   # rank-one starts
+    values = objectives.tolist()   # rows, values and mu: lists, one entry per running restart
+    history = [ConvergenceTrace(objectives=[value], step_sizes=[0.0]) for value in values]
     finals = [None] * cfg.restarts
-    rows = np.arange(cfg.restarts)       # restart index of each stack row
-    mu = np.full(cfg.restarts, float(cfg.mu))
+    rows, mu = list(range(cfg.restarts)), [float(cfg.mu)] * cfg.restarts
 
-    while len(rows):
-        candidates = _step(picked, columns, mu)
-        cand_objectives, cand_picked = _evaluate(states, candidates)
-        accept = cand_objectives >= objectives - BACKTRACK_SLACK
-        # A trial that fails at the step floor holds the iterate in place,
-        # which keeps the trace monotone and stops the restart. Any other
-        # failed trial halves the step and tries again in the next pass.
-        held = ~accept & (mu <= MU_MIN)
-        iterated = accept | held
-        if accept.all():
+    while rows:
+        candidates = _step(picked, columns, np.array(mu))
+        cand_objectives, cand_picked = _evaluate(states, candidates, 1,
+                                                 [w[:len(rows)] for w in work])
+        trials = cand_objectives.tolist()
+        accept = [new >= old - BACKTRACK_SLACK for new, old in zip(trials, values)]
+        if all(accept):
             columns, picked = candidates, cand_picked
-        else:
+        elif any(accept):
             columns[accept], picked[accept] = candidates[accept], cand_picked[accept]
-        changes = np.where(accept, np.abs(cand_objectives - objectives), 0.0)
-        objectives = np.where(accept, cand_objectives, objectives)
-
-        stopped = np.zeros(len(rows), dtype=bool)
-        restarts, values, steps = rows.tolist(), objectives.tolist(), mu.tolist()
-        moved, floored = changes.tolist(), held.tolist()
-        for i in np.flatnonzero(iterated).tolist():
-            trace = history[restarts[i]]
+        running = []
+        for i, restart in enumerate(rows):
+            trace, step = history[restart], mu[i]
+            # A trial that fails at the step floor holds the iterate in place,
+            # which keeps the trace monotone and stops the restart. Any other
+            # failed trial halves the step and tries again in the next pass.
+            if not accept[i] and step > MU_MIN:
+                trace.backtracks += 1
+                mu[i] = max(step / 2.0, MU_MIN)
+                running.append(i)
+                continue
+            change = abs(trials[i] - values[i]) if accept[i] else 0.0   # 0 if held
+            values[i], mu[i] = trials[i] if accept[i] else values[i], float(cfg.mu)
             trace.objectives.append(values[i])
-            trace.step_sizes.append(steps[i])
-            if moved[i] < cfg.eps:
-                trace.stop_reason = "step_floor" if floored[i] else "eps"
+            trace.step_sizes.append(step)
+            if change < cfg.eps:
+                trace.stop_reason = "eps" if accept[i] else "step_floor"
             elif len(trace.objectives) > cfg.max_iters:
                 trace.stop_reason = "max_iters"
             else:
+                running.append(i)
                 continue
-            stopped[i] = True
-            finals[restarts[i]] = columns[i].copy(), picked[i].copy()
-        for i in np.flatnonzero(~iterated).tolist():
-            history[restarts[i]].backtracks += 1
-        mu = np.where(iterated, cfg.mu, np.maximum(mu / 2.0, MU_MIN))
-        if stopped.any():
-            running = ~stopped
-            rows, mu, objectives = rows[running], mu[running], objectives[running]
+            finals[restart] = columns[i].copy(), picked[i].copy()
+        if len(running) < len(rows):
+            rows, values, mu = ([x[i] for i in running] for x in (rows, values, mu))
             columns, picked = columns[running], picked[running]
 
     restart_leakages = [_bits(trace.objectives[-1]) for trace in history]
@@ -492,27 +496,22 @@ def noisy_leakage_local_bound(q_bits: float, p: float, qubits: int) -> float:
         raise ValueError("qubit count must be >= 1")
     if q_bits < 0.0:
         raise ValueError("leakage must be nonnegative")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidProbabilityError(f"probability {p} outside [0, 1]")
-    if p == 0.0:
+    if _check_probability(p) == 0.0:
         return float(q_bits)
     pk = p ** qubits
     return math.log2(pk + (1.0 - pk) * 2.0 ** q_bits)
 
 
-def _noise_points(ensemble: Ensemble, kind: str, grid, q_bits: float):
-    """Yield (p, channel, noisy, closed_form) for each p in grid: the noise
-    channel of the given kind (see states.NOISE_KINDS), the ensemble mapped
-    through it, and the closed form at the noiseless leakage q_bits. Global
-    noise transfers exactly as log2(p + (1-p) 2^q); per-qubit noise on k
-    qubits is bounded by log2(p^k + (1-p^k) 2^q). Raises
-    UnsupportedDimensionError for per-qubit noise on a dimension that is not
-    a power of two, before the first point."""
-    qubits = qubit_count(ensemble.dim) if kind == "local" else 1
-    for p in map(float, grid):
-        channel = depolarizing(kind, p, ensemble.dim)
-        yield (p, channel, ensemble.transform(channel),
-               noisy_leakage_local_bound(q_bits, p, qubits))
+def _noise_points(ensemble: Ensemble, kind: str, grid, report: LeakageReport):
+    """(grid, mapped, duals, closed_forms) at once: the states through noise
+    N_p of a kind in states.NOISE_KINDS as Ensemble.transform maps them,
+    (P, |X|, d, d); the report's dual point carried to N_p(Y), (P, d, d);
+    the closed form at its leakage, exact for global noise, a bound for
+    per-qubit noise. A bad p or dimension raises before anything is mapped."""
+    qubits, grid = _noise_qubits(kind, ensemble.dim), [float(p) for p in grid]
+    closed = [noisy_leakage_local_bound(report.leakage_bits, p, qubits) for p in grid]
+    mapped = _unit_trace(_depolarize(ensemble.state_stack(), kind, grid))
+    return grid, mapped, _depolarize(report.dual, kind, grid), closed
 
 
 def noise_curve(ensemble: Ensemble, kind: str, grid, cfg: AscentConfig,
@@ -521,29 +520,25 @@ def noise_curve(ensemble: Ensemble, kind: str, grid, cfg: AscentConfig,
     from ``report``, the noiseless ensemble's solve.
 
     Returns (rows, solved): a row (p, direct_bits, closed_form_bits) for
-    each point of _noise_points at q = report.leakage_bits, and the p of
-    every point solved with cfg. direct_bits is always the value of a
-    feasible measurement: report.leakage_bits at p = 0 (the identity
-    channel); elsewhere certify bounds the report's POVM and its dual point
-    Y carried to N(Y), and an interval at most TRANSFER_GAP_BITS wide
-    reports its lower end, a wider one a solve's value. Per-qubit noise on
-    a dimension that is not a power of two raises UnsupportedDimensionError
-    before any solve.
+    each point of _noise_points, and the p of every point solved with cfg.
+    direct_bits is always the value of a feasible measurement:
+    report.leakage_bits at p = 0 (the identity channel); elsewhere certify
+    bounds the report's POVM and its dual point Y carried to N(Y), the whole
+    grid in one pass, and reports the lower end of an interval at most
+    TRANSFER_GAP_BITS wide, else a solve's value. Bad input raises first.
     """
+    grid, mapped, duals, closed = _noise_points(ensemble, kind, grid, report)
+    lower, upper, _ = certify(mapped, report.optimal_povm.factors, duals)
     rows, solved = [], []
-    for p, channel, noisy, closed_form in _noise_points(ensemble, kind, grid,
-                                                        report.leakage_bits):
+    for i, (p, low, high) in enumerate(zip(grid, lower.tolist(), upper.tolist())):
         if p == 0.0:
             bits = report.leakage_bits
+        elif _bits(high) - _bits(low) <= TRANSFER_GAP_BITS:
+            bits = _bits(low)
         else:
-            lower, upper, _ = certify(noisy.state_stack(), report.optimal_povm.factors,
-                                      _kraus_sum(channel.kraus_ops, report.dual))
-            if _bits(upper) - _bits(lower) <= TRANSFER_GAP_BITS:
-                bits = _bits(lower)
-            else:
-                bits = compute_leakage(noisy, cfg).leakage_bits
-                solved.append(p)
-        rows.append((p, bits, closed_form))
+            bits = compute_leakage(ensemble._mapped(mapped[i]), cfg).leakage_bits
+            solved.append(p)
+        rows.append((p, bits, closed[i]))
     return rows, solved
 
 
@@ -578,19 +573,17 @@ ALL_PROPERTY_CHECKS = (
 )
 
 
-def _upper_or_solve(report: LeakageReport, channel: KrausChannel, mapped: Ensemble,
-                    line: float, cfg: AscentConfig):
-    """(bits, solved) for a test that the leakage of ``mapped``, the solved
-    ensemble mapped through ``channel``, is <= line: log2 of certify's upper
-    end on mapped from the report's dual point Y carried to N(Y), if it is
-    <= line, since it bounds every POVM's value there up to eigvalsh
-    roundoff, else a solve's value. The dual alone carries it, since the
-    channel may change the dimension."""
-    upper = _bits(_dual_upper(mapped.state_stack(),
-                              _kraus_sum(channel.kraus_ops, report.dual))[0])
-    if upper <= line:
-        return upper, False
-    return compute_leakage(mapped, cfg).leakage_bits, True
+def _upper_or_solve(ensemble: Ensemble, mapped: np.ndarray, duals: np.ndarray,
+                    lines, cfg: AscentConfig):
+    """Yield (bits, solved) per point, a test that the leakage of ``ensemble``
+    through the point's channel N, states ``mapped`` (P, |X|, d', d'), is <=
+    its line: certify's upper end from a dual point carried to N(Y) in
+    ``duals`` (P, d', d') if it meets the line, else a solve's value. The
+    dual alone carries it, since the channel may change the dimension."""
+    for stack, upper, line in zip(mapped, _dual_upper(mapped, duals)[0].tolist(), lines):
+        upper = _bits(upper)
+        yield (upper, False) if upper <= line else (
+            compute_leakage(ensemble._mapped(stack), cfg).leakage_bits, True)
 
 
 def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
@@ -662,8 +655,9 @@ def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
         # N(Y) >= N(rho^x) and tr N(Y) = tr Y give Q(after) <= U_after <= upper;
         # the 1e-6 covers POVM_ATOL completeness and the channel's ATOL slack.
         upper = baseline.upper_bound_bits
-        after, solve = _upper_or_solve(baseline, chan, ensemble.transform(chan),
-                                       upper + 1e-6, cfg)
+        ((after, solve),) = _upper_or_solve(
+            ensemble, ensemble.transform(chan).state_stack()[None],
+            chan.apply(baseline.dual)[None], [upper + 1e-6], cfg)
         results.append(PropertyCheck(
             "data_processing", after <= upper + 1e-6,
             f"{'solved' if solve else 'certified upper'} after={after:.9f} <= "
@@ -680,17 +674,16 @@ def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
     if "local_noise_bound" in checks:
         # Each p passes if the leakage after per-qubit noise is at most 1e-3
         # bits above the paper's bound g_p = log2(p^k + (1-p^k) 2^q0).
-        excesses, solved = [], []
         try:
-            for p, chan, noisy, bound in _noise_points(ensemble, "local", noise_grid, q0):
-                value, solve = _upper_or_solve(baseline, chan, noisy, bound + 1e-3, cfg)
-                if solve:
-                    solved.append(p)
-                excesses.append(value - bound)
+            grid, mapped, duals, bounds = _noise_points(ensemble, "local", noise_grid, baseline)
         except UnsupportedDimensionError as exc:
             results.append(PropertyCheck(
                 "local_noise_bound", True, f"skipped: {exc}", skipped=True))
         else:
+            settled = list(_upper_or_solve(ensemble, mapped, duals,
+                                           [bound + 1e-3 for bound in bounds], cfg))
+            excesses = [value - bound for (value, _), bound in zip(settled, bounds)]
+            solved = [p for p, (_, solve) in zip(grid, settled) if solve]
             results.append(PropertyCheck(
                 "local_noise_bound", all(ex <= 1e-3 for ex in excesses),
                 f"max (certified upper or direct) - bound = "

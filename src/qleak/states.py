@@ -1,5 +1,5 @@
-"""Domain layer: density operators, classical-quantum ensembles, POVMs and
-Kraus channels, plus the two reference encoders and depolarizing noise models.
+"""Domain layer: density operators, classical-quantum ensembles, POVMs, the
+two reference encoders and channels, Kraus or depolarizing in closed form.
 
 Constructors validate every invariant and `Ensemble.transform` maps states
 only through checked channels, so no invalid value circulates past this
@@ -16,7 +16,6 @@ import numpy as np
 from . import linalg
 from .exceptions import (
     DimensionMismatchError,
-    DimensionOverflowError,
     InvalidChannelError,
     InvalidProbabilityError,
     NotPsdError,
@@ -30,10 +29,6 @@ POVM_ATOL = 1e-8  # validity tolerance of POVMs; states and channels use linalg.
 # The depolarizing noise models: "global" acts on the whole register,
 # "local" on each of its qubits.
 NOISE_KINDS = ("global", "local")
-
-# The single-qubit Pauli stack (I, X, Y, Z).
-PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
-                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=np.complex128)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -167,19 +162,21 @@ class Ensemble:
     def with_priors(self, priors: Sequence[float]) -> "Ensemble":
         return Ensemble(self.symbols, self.states, priors)
 
-    def transform(self, channel: "KrausChannel") -> "Ensemble":
-        """Map every state to sum_j E_j rho E_j^dag, one operator at a time,
-        divided by its real trace, with the same labels and priors. A checked
-        channel maps states to states; the division keeps the trace defects of
-        state and channel from adding up past linalg.ATOL."""
+    def transform(self, channel) -> "Ensemble":
+        """Map every state through ``channel.apply``, divided by its real
+        trace, with the same labels and priors. A checked channel maps states
+        to states; the division keeps the trace defects of state and channel
+        from adding up past linalg.ATOL."""
         if channel.dim_in != self.dim:
             raise DimensionMismatchError(
                 f"channel expects dim {channel.dim_in}, state has dim {self.dim}")
-        mapped = _kraus_sum(channel.kraus_ops, self._stack)
-        traces = np.trace(mapped, axis1=1, axis2=2).real
+        return self._mapped(_unit_trace(channel.apply(self._stack)))
+
+    def _mapped(self, stack: np.ndarray) -> "Ensemble":
+        """Labels and priors with a stack of _unit_trace outputs, unchecked."""
         out = Ensemble.__new__(Ensemble)
         out.symbols, out.priors = self.symbols, self.priors
-        out._stack = _frozen(linalg.hermitize(mapped / traces[:, None, None]))
+        out._stack = _frozen(stack)
         return out
 
     def is_indistinguishable(self, atol: float = 1e-9) -> bool:
@@ -300,19 +297,25 @@ class KrausChannel:
         total = g[:, 0, :, 0] + g[:, 1, :, 1] + 1j * (g[:, 0, :, 1] - g[:, 1, :, 0])
         _check_completeness(total, linalg.ATOL, InvalidChannelError)
 
+    def apply(self, matrices: np.ndarray) -> np.ndarray:
+        """sum_j E_j M E_j^dag of a matrix or a stack of matrices (the last two
+        axes), one Kraus operator at a time, without renormalization."""
+        return sum(op @ matrices @ op.conj().T for op in self.kraus_ops)
+
     def __repr__(self) -> str:
         return f"KrausChannel({self.dim_in}->{self.dim_out}, {len(self.kraus_ops)} ops)"
 
 
-def _kraus_sum(kraus_ops: np.ndarray, matrices: np.ndarray) -> np.ndarray:
-    """sum_j E_j M E_j^dag of a matrix or a stack of matrices (the last two
-    axes), one Kraus operator at a time, without renormalization."""
-    return sum(op @ matrices @ op.conj().T for op in kraus_ops)
+def _unit_trace(mapped: np.ndarray) -> np.ndarray:
+    """Channel outputs (..., d, d) divided by their real traces, hermitized."""
+    traces = np.trace(mapped, axis1=-2, axis2=-1).real
+    return linalg.hermitize(mapped / traces[..., None, None])
 
 
 def conditional_traces(states: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """tr(rho^x H_y H_y^dag) for a state stack (|X|, d, d) and POVM factors
-    (m, d, r), as a complex (|X|, m) array; the imaginary part is roundoff."""
+    """tr(rho^x H_y H_y^dag) for a state stack (..., |X|, d, d) and POVM
+    factors (m, d, r), as a complex (..., |X|, m) array; the imaginary part
+    is roundoff."""
     return _products_and_traces(states, _columns(factors), factors.shape[2])[1]
 
 
@@ -327,20 +330,26 @@ def _factors(columns: np.ndarray, outcomes: int) -> np.ndarray:
     return columns.reshape(len(columns), outcomes, -1).transpose(1, 0, 2)
 
 
-def _products_and_traces(states: np.ndarray, columns: np.ndarray, rank: int):
+def _products_and_traces(states: np.ndarray, columns: np.ndarray, rank: int,
+                         work=(None, None)):
     """The one trace kernel, on the _columns (d, m r) of one POVM with factors
-    of rank r, or on a leading stack of them. Returns the products rho^x H as
-    (..., |X|, d, m, r) and the complex traces tr(rho^x H_y H_y^dag) as
-    (..., |X|, m). Each POVM of a stack gets the same matrix product as when
-    it is alone, so its values do not depend on the others. States and POVMs
-    meet only here, so this is their one dimension check."""
-    if states.shape[2] != columns.shape[-2]:
+    of rank r, or on a leading stack of them, and states (S..., |X|, d, d).
+    Returns the products rho^x H as (..., S..., |X|, d, m, r) and the complex
+    traces tr(rho^x H_y H_y^dag) as (..., S..., |X|, m). Each POVM of a stack
+    gets the same matrix product as when it is alone, so its values do not
+    depend on the others. States and POVMs meet only here, so this is their
+    one dimension check. ``work`` may name two arrays to write into in place
+    of new ones: the matrix product (..., S... |X| d, m r) and the products
+    times the conjugate columns (shaped as the products)."""
+    if states.shape[-1] != columns.shape[-2]:
         raise DimensionMismatchError(
-            f"ensemble dim {states.shape[2]} != POVM dim {columns.shape[-2]}")
+            f"ensemble dim {states.shape[-1]} != POVM dim {columns.shape[-2]}")
     lead, (dim, width) = columns.shape[:-2], columns.shape[-2:]
-    blocks = (dim, width // rank, rank)
-    products = (states.reshape(-1, dim) @ columns).reshape(lead + (len(states),) + blocks)
-    traces = (products * columns.conj().reshape(lead + (1,) + blocks)).sum(axis=(-3, -1))
+    sets, blocks = states.shape[:-2], (dim, width // rank, rank)
+    products = np.matmul(states.reshape(-1, dim), columns, out=work[0])
+    products = products.reshape(lead + sets + blocks)
+    traces = np.multiply(products, columns.conj().reshape(lead + (1,) * len(sets) + blocks),
+                         out=work[1]).sum(axis=(-3, -1))
     return products, traces
 
 
@@ -362,40 +371,54 @@ def _check_probability(p: float) -> float:
     return p
 
 
-def depolarizing_global(p: float, dim: int) -> KrausChannel:
-    """Global depolarizing channel: rho -> (p/d) I + (1-p) rho.
+class DepolarizingChannel:
+    """depolarizing(kind, p, dim): noise of a kind in NOISE_KINDS with
+    parameter p on a register of dimension dim. Its apply is the closed form
+    _depolarize, without renormalization; it has no Kraus operators."""
 
-    Realized with Kraus operators {sqrt(1-p) I} and {sqrt(p/d) |i><j|};
-    only the action is contractual, not this particular Kraus set.
-    """
-    p = _check_probability(p)
-    ops = np.zeros((1 + dim * dim if p > 0.0 else 1, dim, dim), dtype=np.complex128)
-    ops[0] = np.sqrt(1.0 - p) * np.eye(dim)
-    if p > 0.0:  # operator 1 + i*d + j is sqrt(p/d) |i><j|: the diagonal of ops[1:]
-        np.fill_diagonal(ops[1:].reshape(dim * dim, dim * dim), np.sqrt(p / dim))
-    return KrausChannel(ops)
+    def __init__(self, kind: str, p: float, dim: int):
+        _noise_qubits(kind, dim)
+        self.kind, self.p, self.dim_in, self.dim_out = kind, _check_probability(p), dim, dim
+
+    def apply(self, matrices: np.ndarray) -> np.ndarray:
+        return _depolarize(matrices, self.kind, self.p)
 
 
-def depolarizing_local(p: float, qubits: int) -> KrausChannel:
-    """Per-qubit depolarizing noise on a register of ``qubits`` qubits.
+depolarizing = DepolarizingChannel
 
-    Tensor product of single-qubit channels with Kraus set
-    {sqrt(1-3p/4) I, sqrt(p/4) X, sqrt(p/4) Y, sqrt(p/4) Z}; the full set is
-    all 4^k tensor products, hence the hard cap at k = 6.
-    """
-    p = _check_probability(p)
+def _depolarize(matrices: np.ndarray, kind: str, p) -> np.ndarray:
+    """Depolarizing noise on a matrix or a stack (..., d, d) in closed form:
+    M -> (1-p) M + p tr(M) I/d for global noise, and for per-qubit noise
+    M -> (1-p) M + p Tr_q(M) (x) I/2 on each qubit axis q, O(k d^2) in all.
+    Written with tr(M), it maps a matrix of any trace, such as a dual point.
+    A vector of P values of p gives a leading grid axis (P, ..., d, d)."""
+    p = np.asarray(p, dtype=np.float64)
+    out = np.broadcast_to(matrices, p.shape + np.shape(matrices))
+    keep, mix = (x.reshape(p.shape + (1,) * np.ndim(matrices)) for x in (1.0 - p, p))
+    dim, lead = out.shape[-1], out.shape[:-2]
+    if kind == "global":
+        traces = np.trace(out, axis1=-2, axis2=-1)[..., None, None]
+        return keep * out + mix * traces * (np.eye(dim) / dim)
+    half_eye = (np.eye(2) / 2.0).reshape(2, 1, 1, 2, 1)
+    for q in range(qubit_count(dim)):   # the first qubit is the outermost axis
+        split = out.reshape(lead + (2 ** q, 2, dim >> (q + 1)) * 2)   # qubit q in the middle
+        partial = np.expand_dims(np.trace(split, axis1=-5, axis2=-2), (-5, -2))
+        out = keep * out + mix * (partial * half_eye).reshape(out.shape)
+    return out
+
+
+def depolarizing_global(p: float, dim: int) -> DepolarizingChannel:
+    """Global depolarizing channel: rho -> (p/d) I + (1-p) rho; only the
+    action is contractual."""
+    return DepolarizingChannel("global", p, dim)
+
+
+def depolarizing_local(p: float, qubits: int) -> DepolarizingChannel:
+    """Per-qubit depolarizing noise on ``qubits`` qubits, any number: the
+    tensor product of single-qubit channels rho -> (p/2) I + (1-p) rho."""
     if qubits < 1:
         raise DimensionMismatchError("need at least one qubit")
-    if qubits > 6:
-        raise DimensionOverflowError(
-            f"local depolarizing on {qubits} qubits needs 4^{qubits} Kraus operators"
-        )
-    ops = single = np.sqrt([1.0 - 0.75 * p, p / 4.0, p / 4.0, p / 4.0])[:, None, None] * PAULIS
-    for k in range(2, qubits + 1):  # ops[a * 4 + b] = kron(ops[a], single[b])
-        ops = (ops[:, None, :, None, :, None] * single[None, :, None, :, None, :]
-               ).reshape(-1, 2 ** k, 2 ** k)
-    ops = ops[np.any(ops, axis=(1, 2))]  # drop the zero operators of p = 0
-    return KrausChannel(ops)
+    return DepolarizingChannel("local", p, 2 ** qubits)
 
 
 def qubit_count(dim: int) -> int:
@@ -407,14 +430,11 @@ def qubit_count(dim: int) -> int:
     return dim.bit_length() - 1
 
 
-def depolarizing(kind: str, p: float, dim: int) -> KrausChannel:
-    """The depolarizing channel of a noise kind (see NOISE_KINDS) with
-    parameter p on a register of dimension dim."""
-    if kind == "global":
-        return depolarizing_global(p, dim)
-    if kind == "local":
-        return depolarizing_local(p, qubit_count(dim))
-    raise ValueError(f"unknown noise kind {kind!r}; expected one of {NOISE_KINDS}")
+def _noise_qubits(kind: str, dim: int) -> int:
+    """k of a noise kind: qubit_count(dim) for "local", 1 for "global"."""
+    if kind not in NOISE_KINDS:
+        raise ValueError(f"unknown noise kind {kind!r}; expected one of {NOISE_KINDS}")
+    return qubit_count(dim) if kind == "local" else 1
 
 
 def encode_index(dim: int) -> Ensemble:

@@ -26,7 +26,7 @@ from qleak import (
     two_state_leakage,
     verify_properties,
 )
-from qleak import leakage
+from qleak import leakage, states
 from qleak.ensemble_io import resolve_ensemble
 from qleak.leakage import WHITENING_REG
 from qleak.states import random_povm_factors
@@ -594,13 +594,14 @@ class TestCertificate:
 def widen_later_dual_ends(monkeypatch):
     """Patch leakage._dual_upper so that the first call, the baseline solve's
     own certificate, keeps its end and every later end, each carried one
-    included, is 8: 3 bits, which settles no channel of 2-bit index4."""
+    included, is 8: 3 bits, which settles no channel of 2-bit index4. A
+    call on a grid gets an 8 per point."""
     original, calls = leakage._dual_upper, []
 
     def widened(states, dual):
         upper, point = original(states, dual)
         calls.append(upper)
-        return (upper if len(calls) == 1 else 8.0), point
+        return (upper if len(calls) == 1 else np.full(np.shape(upper), 8.0)), point
 
     monkeypatch.setattr(leakage, "_dual_upper", widened)
 
@@ -619,7 +620,7 @@ def carried_interval(report, channel, mapped):
     through ``channel``: the report's POVM and its dual point Y carried to
     N(Y)."""
     return certify(mapped.state_stack(), report.optimal_povm.factors,
-                   leakage._kraus_sum(channel.kraus_ops, report.dual))[:2]
+                   channel.apply(report.dual))[:2]
 
 
 class TestTransfer:
@@ -672,6 +673,42 @@ class TestTransfer:
         with pytest.raises(UnsupportedDimensionError):
             leakage.noise_curve(ensemble, "local", (0.0, 0.5, 1.0), cfg, report)
         assert calls == []
+
+    @pytest.mark.parametrize("kind", ["global", "local"])
+    def test_invalid_probability_raises_before_any_solve(self, monkeypatch, kind):
+        # Widened carried ends would make p = 0.5 need a solve; the bad p
+        # after it still raises first.
+        widen_later_dual_ends(monkeypatch)
+        ensemble, cfg = encode_index(4), AscentConfig(restarts=2, seed=0)
+        report = compute_leakage(ensemble, cfg)
+        calls = count_solves(monkeypatch)
+        with pytest.raises(InvalidProbabilityError):
+            leakage.noise_curve(ensemble, kind, (0.5, 1.5), cfg, report)
+        assert calls == []
+
+    def test_noise_path_builds_no_kraus_channel(self, monkeypatch):
+        # Depolarizing noise acts in closed form: with KrausChannel
+        # unbuildable, both noise kinds still carry index4's whole grid, each
+        # row equal to certify on that point's channel alone.
+        def refuse(self, kraus_ops):
+            raise AssertionError("a Kraus channel was built")
+
+        monkeypatch.setattr(states.KrausChannel, "__init__", refuse)
+        ensemble, cfg = encode_index(4), AscentConfig(restarts=2, seed=0)
+        report = compute_leakage(ensemble, cfg)
+        grid = np.linspace(0.0, 1.0, 11).tolist()
+        for kind in ("global", "local"):
+            rows, solved = leakage.noise_curve(ensemble, kind, grid, cfg, report)
+            assert solved == [] and [row[0] for row in rows] == grid
+            for p, carried, _ in rows[1:]:
+                channel = depolarizing(kind, p, 4)
+                lower = certify(ensemble.transform(channel).state_stack(),
+                                report.optimal_povm.factors, channel.apply(report.dual))[0]
+                assert abs(carried - leakage._bits(lower)) <= 1e-14
+        checks = verify_properties(ensemble, cfg, checks=("local_noise_bound",
+                                                          "global_noise_exactness")).checks
+        assert [c.passed for c in checks] == [True, True]
+        assert all(c.detail.endswith("solved p []") for c in checks)
 
 
 class TestMutualInformation:
@@ -880,7 +917,7 @@ class TestVerifyProperties:
         channel = depolarizing("local", 0.4, ensemble.dim)
         noisy = ensemble.transform(channel)
         upper = leakage._bits(leakage._dual_upper(
-            noisy.state_stack(), leakage._kraus_sum(channel.kraus_ops, baseline.dual))[0])
+            noisy.state_stack(), channel.apply(baseline.dual))[0])
         bound = noisy_leakage_local_bound(baseline.leakage_bits, 0.4,
                                           int(math.log2(ensemble.dim)))
         fresh = compute_leakage(noisy, cfg).leakage_bits
@@ -922,7 +959,7 @@ class TestVerifyProperties:
         baseline = compute_leakage(ensemble, cfg)
         mapped = ensemble.transform(channel)
         after = leakage._bits(leakage._dual_upper(
-            mapped.state_stack(), leakage._kraus_sum(channel.kraus_ops, baseline.dual))[0])
+            mapped.state_stack(), channel.apply(baseline.dual))[0])
         fresh = compute_leakage(mapped, cfg).leakage_bits
         assert fresh <= after + 1e-9 <= baseline.upper_bound_bits + 1e-6
 

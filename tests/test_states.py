@@ -23,10 +23,9 @@ from qleak import (
     random_povm,
 )
 from qleak.linalg import herm_eig, inv_sqrt_psd
-from qleak.states import qubit_count, random_povm_factors
+from qleak.states import _depolarize, qubit_count, random_povm_factors
 from qleak.exceptions import (
     DimensionMismatchError,
-    DimensionOverflowError,
     InvalidChannelError,
     InvalidProbabilityError,
     NotHermitianError,
@@ -35,7 +34,7 @@ from qleak.exceptions import (
     UnsupportedDimensionError,
 )
 from qleak.linalg import MAX_ENTRY
-from helpers import map_state, random_density, random_pure
+from helpers import map_state, random_density, random_hermitian, random_pure
 
 # The message of the one entry bound, linalg.as_cmatrix, for a named object.
 BOUND = "^{} has an entry that is NaN, Inf or above 2\\^256 in magnitude$"
@@ -44,6 +43,20 @@ BOUND = "^{} has an entry that is NaN, Inf or above 2\\^256 in magnitude$"
 def affine_depolarize(rho, p, dim):
     """Independent oracle for the depolarizing action."""
     return (p / dim) * np.eye(dim) + (1 - p) * rho
+
+
+def assert_applies_as_kraus_sum(channel, ops, seed):
+    """channel.apply against sum_j E_j M E_j^dag over a spelled-out Kraus
+    list ``ops``: on a stack of random states, and on a Hermitian M whose
+    trace is not 1, as a carried dual point has."""
+    rng = np.random.default_rng(seed)
+    dim = channel.dim_in
+    stack = np.stack([random_density(dim, rng).matrix for _ in range(3)])
+    hermitian = random_hermitian(dim, rng, scale=3.0)
+    assert abs(np.trace(hermitian).real - 1.0) > 1e-3
+    for m in (stack, hermitian):
+        reference = sum(op @ m @ op.conj().T for op in ops)
+        assert np.max(np.abs(channel.apply(m) - reference)) <= 1e-14
 
 
 @pytest.mark.parametrize("build", [
@@ -295,12 +308,17 @@ class TestKrausChannel:
         dim = 2 ** (1 + seed % 3)
         e = Ensemble([f"s{i}" for i in range(3)],
                      [random_density(dim, rng) for _ in range(3)])
+        # The depolarizing channels act in closed form: their reference is
+        # that action on one state at a time.
         for chan in (random_kraus_channel(dim, 1 + 2 * seed, seed),
                      depolarizing_global(0.3, dim), depolarizing_local(0.3, qubit_count(dim))):
             for rho, mapped in zip(e.states, e.transform(chan).states):
-                dense = np.zeros((dim, dim), dtype=np.complex128)
-                for op in chan.kraus_ops:
-                    dense += op @ rho.matrix @ op.conj().T
+                if isinstance(chan, KrausChannel):
+                    dense = np.zeros((dim, dim), dtype=np.complex128)
+                    for op in chan.kraus_ops:
+                        dense += op @ rho.matrix @ op.conj().T
+                else:
+                    dense = chan.apply(rho.matrix)
                 assert np.array_equal(mapped.matrix,
                                       DensityOperator(dense / dense.trace().real).matrix)
 
@@ -401,7 +419,8 @@ class TestDepolarizingGlobal:
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("qubits", [1, 2, 3])
     def test_kraus_stack_matches_reference(self, p, qubits):
-        # {sqrt(1-p) I}, then sqrt(p/d) |i><j| for i, j in row-major order.
+        # The closed form against the Kraus set {sqrt(1-p) I} and
+        # sqrt(p/d) |i><j|; only the action is contractual.
         dim = 2 ** qubits
         ops = [np.sqrt(1.0 - p) * np.eye(dim)]
         if p > 0.0:
@@ -410,7 +429,7 @@ class TestDepolarizingGlobal:
                     op = np.zeros((dim, dim))
                     op[i, j] = np.sqrt(p / dim)
                     ops.append(op)
-        assert np.array_equal(depolarizing_global(p, dim).kraus_ops, np.array(ops))
+        assert_applies_as_kraus_sum(depolarizing_global(p, dim), ops, qubits)
 
 
 class TestDepolarizingLocal:
@@ -466,11 +485,31 @@ class TestDepolarizingLocal:
             if np.any(op):
                 ops.append(op)
         assert len(ops) == (1 if p == 0.0 else 4 ** qubits)
-        assert np.array_equal(depolarizing_local(p, qubits).kraus_ops, np.array(ops))
+        assert_applies_as_kraus_sum(depolarizing_local(p, qubits), ops, qubits)
 
-    def test_qubit_cap(self):
-        with pytest.raises(DimensionOverflowError):
-            depolarizing_local(0.5, 7)
+    def test_seven_qubits_act_as_a_product_of_single_qubit_maps(self):
+        # d = 128 would need 4^7 Kraus operators; the closed form needs none.
+        # On a product state it is the product of the single-qubit maps.
+        p, rng = 0.3, np.random.default_rng(12)
+        factors = [random_density(2, rng).matrix for _ in range(7)]
+        joint, expected = factors[0], affine_depolarize(factors[0], p, 2)
+        for rho in factors[1:]:
+            joint = np.kron(joint, rho)
+            expected = np.kron(expected, affine_depolarize(rho, p, 2))
+        out = map_state(depolarizing_local(p, 7), DensityOperator(joint))
+        assert out.dim == 128
+        assert np.max(np.abs(out.matrix - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["global", "local"])
+    def test_grid_axis_matches_each_point(self, kind):
+        # A vector of p maps a stack to one stack per p, each as its p alone.
+        rng = np.random.default_rng(13)
+        stack = np.stack([random_density(8, rng).matrix for _ in range(3)])
+        grid = [0.0, 0.25, 1.0]
+        out = _depolarize(stack, kind, grid)
+        assert out.shape == (3, 3, 8, 8)
+        for p, mapped in zip(grid, out):
+            assert np.array_equal(mapped, _depolarize(stack, kind, p))
 
     @pytest.mark.parametrize("dim,qubits", [(2, 1), (4, 2), (64, 6)])
     def test_qubit_count(self, dim, qubits):
