@@ -1,6 +1,9 @@
 """qleak command line: compute leakage, sweep depolarizing noise, verify
 structural properties.
 
+`compute` writes the optimal POVM as its factors H_y (F_y = H_y H_y^dag), an
+(m, d, r) stack of [re, im] pairs read back by `Povm.from_factors`.
+
 Exit codes: 0 success, 2 invalid input or schema, 3 numerical failure,
 4 unsupported configuration (e.g. per-qubit noise on a non-power-of-two
 dimension), 5 property-check failure.
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -21,12 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ensemble_io import (
-    builtin_names,
-    load_channel,
-    matrix_to_pairs,
-    resolve_ensemble,
-)
+from .ensemble_io import builtin_names, load_channel, matrix_to_pairs, resolve_ensemble
 from .exceptions import (
     EnsembleConfigError,
     InvalidChannelError,
@@ -64,6 +63,7 @@ def _ascent_flags(parser: argparse.ArgumentParser):
                             default=f.default, help=ASCENT_HELP.get(f.name))
 
 
+@functools.cache  # built on first use, then shared: parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qleak",
@@ -183,12 +183,13 @@ def _write_json(path: Path, payload: dict, manifest: dict):
     path.write_text(json.dumps({**payload, "manifest": manifest}, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, manifest: dict, header: list[str], rows):
-    with path.open("w", newline="") as fh:
-        fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csvs(manifest: dict, header: list[str], tables):
+    """Write each (path, rows) of ``tables`` as a CSV led by one manifest line."""
+    line = "# manifest: " + json.dumps(manifest, sort_keys=True) + "\n"
+    for path, rows in tables:
+        with path.open("w", newline="") as fh:
+            fh.write(line)
+            csv.writer(fh).writerows([header, *rows])
 
 
 def _cmd_compute(run: _Run) -> int:
@@ -207,12 +208,11 @@ def _cmd_compute(run: _Run) -> int:
         "converged": report.converged_flags,
         "stop_reasons": [trace.stop_reason for trace in report.traces],
         "backtracks": [trace.backtracks for trace in report.traces],
-        "optimal_povm": [matrix_to_pairs(el) for el in report.optimal_povm],
+        "optimal_povm_factors": matrix_to_pairs(report.optimal_povm.factors),
         "dual": matrix_to_pairs(report.dual),
     }, manifest)
-    for path, trace in zip(trace_paths, report.traces):
-        _write_csv(path, manifest,
-                   ["iteration", "objective", "leakage_bits", "step_size"], trace.rows())
+    _write_csvs(manifest, ["iteration", "objective", "leakage_bits", "step_size"],
+                [(path, trace.rows()) for path, trace in zip(trace_paths, report.traces)])
     print(f"leakage_bits={report.leakage_bits:.6f} "
           f"in [{report.leakage_bits:.9f}, {report.upper_bound_bits:.9f}] "
           f"(gap {report.gap_bits:.1e} bits, ceiling {report.ceiling_bits:.6f}), "
@@ -244,7 +244,7 @@ def _cmd_noise_sweep(run: _Run) -> int:
                             p_steps=args.p_steps, noiseless_leakage_bits=q0,
                             noiseless_upper_bound_bits=report.upper_bound_bits,
                             solved_p=solved)
-    _write_csv(path, manifest, ["p", "direct_leakage_bits", "formula_bits", "ratio"], rows)
+    _write_csvs(manifest, ["p", "direct_leakage_bits", "formula_bits", "ratio"], [(path, rows)])
     print(f"noiseless leakage_bits={q0:.6f} "
           f"(certified <= {report.upper_bound_bits:.6f}), {len(rows)} grid points, "
           f"{len(solved)} solved directly -> {path}")

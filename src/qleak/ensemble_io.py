@@ -66,23 +66,23 @@ def _require_numbers(entries, context: str):
 
 
 def matrix_to_pairs(matrix: np.ndarray) -> list:
-    """Complex matrix -> nested [re, im] pairs (JSON-safe); the mirror of
-    pairs_to_array."""
+    """Complex array (vector, matrix or stack) -> nested [re, im] pairs
+    (JSON-safe); the mirror of pairs_to_array."""
     m = np.ascontiguousarray(matrix, dtype=np.complex128)
     return m.view(np.float64).reshape(*m.shape, 2).tolist()
 
 
 def pairs_to_array(entries, rank: int, context: str) -> np.ndarray:
-    """Nested [re, im] pairs -> complex vector (rank 1) or matrix (rank 2),
-    with shape validation; the pairs are reinterpreted, not multiplied, so
-    Inf entries raise no warning."""
+    """Nested [re, im] pairs -> complex vector (rank 1), matrix (rank 2) or
+    stack of matrices (rank 3), with shape validation; the pairs are
+    reinterpreted, not multiplied, so Inf entries raise no warning."""
     _require_numbers(entries, context)
     try:
         arr = np.asarray(entries, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise EnsembleConfigError(f"{context}: entries must be [re, im] pairs") from exc
     if arr.ndim != rank + 1 or arr.shape[-1] != 2:
-        shape = "list" if rank == 1 else "matrix"
+        shape = {1: "list", 2: "matrix"}.get(rank, f"rank-{rank} array")
         raise EnsembleConfigError(f"{context}: expected a {shape} of [re, im] pairs")
     return np.ascontiguousarray(arr).view(np.complex128)[..., 0]
 

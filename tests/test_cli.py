@@ -42,7 +42,7 @@ class TestCompute:
         assert result["ceiling_bits"] == pytest.approx(1.0)
         assert len(result["restart_leakages"]) == 4
         assert len(result["converged"]) == 4
-        assert len(result["optimal_povm"]) == 4  # dim^2 elements
+        assert len(result["optimal_povm_factors"]) == 4  # dim^2 elements
         assert result["manifest"]["command"] == "compute"
         assert result["manifest"]["config"]["povm_size"] == 4
         assert "leakage_bits=" in capsys.readouterr().out
@@ -75,12 +75,18 @@ class TestCompute:
         assert f"{result['upper_bound_bits']:.9f}]" in capsys.readouterr().out
 
     def test_result_rechecks_with_certify(self, tmp_path):
-        # The written POVM and dual point reproduce both ends of the interval.
+        # The written POVM factors and dual point reproduce both ends of the
+        # interval, and the factors are the solver's, bit for bit.
         out = tmp_path / "run"
         assert main(["compute", "--ensemble", "builtin:amplitude3", "--restarts", "2",
                      "--out", str(out)]) == 0
         result = read_result(out)
-        povm = Povm([pairs_to_array(el, 2, "element") for el in result["optimal_povm"]])
+        povm = Povm.from_factors(
+            pairs_to_array(result["optimal_povm_factors"], 3, "optimal_povm_factors"))
+        report = leakage.compute_leakage(encode_amplitude_3bit(),
+                                         leakage.AscentConfig(restarts=2))
+        assert povm.factors.shape == report.optimal_povm.factors.shape == (64, 8, 1)
+        assert np.array_equal(povm.factors, report.optimal_povm.factors)
         dual = pairs_to_array(result["dual"], 2, "dual")
         states = encode_amplitude_3bit().state_stack()
         lower, upper, _ = certify(states, povm.factors, dual)
@@ -97,6 +103,22 @@ class TestCompute:
         assert set(env["threads"]) == {
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
         assert env["cpu_count"] == os.cpu_count()
+
+    def test_calls_in_one_process_share_no_state(self, tmp_path):
+        # The parser is built once per process; a run's flags, or a failed
+        # parse, must not leak into the next run's defaults.
+        args = ["compute", "--ensemble", "builtin:index2", "--max-iters", "50"]
+        assert main(args + ["--restarts", "3", "--out", str(tmp_path / "a")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--restarts", "three", "--out", str(tmp_path / "b")])
+        assert exc.value.code == 2
+        assert main(args + ["--out", str(tmp_path / "c")]) == 0
+        assert cli.build_parser() is cli.build_parser()
+        assert read_result(tmp_path / "a")["manifest"]["config"]["restarts"] == 3
+        assert not (tmp_path / "b").exists()
+        config = read_result(tmp_path / "c")["manifest"]["config"]
+        assert config["restarts"] == 10
+        assert len(list((tmp_path / "c").glob("trace_restart_*.csv"))) == 10
 
     def test_povm_size_option_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -43,6 +43,21 @@ def test_matrix_to_pairs_mirrors_pairs_to_array(seed):
         assert np.array_equal(pairs_to_array(pairs, 2, "matrix"), matrix)
 
 
+def test_pairs_to_array_reads_a_stack():
+    # A POVM's (m, d, r) factor stack, as result.json writes it.
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+    assert np.array_equal(pairs_to_array(matrix_to_pairs(stack), 3, "factors"), stack)
+
+
+@pytest.mark.parametrize("depth", [2, 4])
+def test_pairs_to_array_names_the_rank_it_expected(depth):
+    entries = matrix_to_pairs(np.ones((2,) * depth))
+    with pytest.raises(EnsembleConfigError,
+                       match=r"^factors: expected a rank-3 array of \[re, im\] pairs$"):
+        pairs_to_array(entries, 3, "factors")
+
+
 BASIC = {
     "dimension": 2,
     "symbols": [

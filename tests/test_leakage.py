@@ -35,8 +35,8 @@ from qleak.exceptions import (
     InvalidProbabilityError,
     UnsupportedDimensionError,
 )
-from helpers import (criterion5_fuzz, cyclic_orbit, orbit_leakage, random_density,
-                     random_ensemble, random_pure)
+from helpers import (criterion5_fuzz, cyclic_orbit, orbit_leakage, product_ensemble,
+                     pure_gram, random_density, random_ensemble, random_pure)
 
 
 def count_solves(monkeypatch):
@@ -510,6 +510,43 @@ class TestOrbitOracle:
         ensemble = cyclic_orbit(16, 24, np.random.default_rng(16))
         report = compute_leakage(ensemble, AscentConfig(restarts=1, max_iters=200, seed=0))
         assert report.leakage_bits <= orbit_leakage(ensemble) + 1e-9
+
+    @pytest.mark.parametrize("copies, exact", [
+        (1, 1.899968626953), (2, 2.654457145409), (3, 2.890319939597),
+        (4, 2.954885606207)])
+    def test_amplitude3_copies(self, copies, exact):
+        # n copies of amplitude3 form an orbit in dimension 8^n whose Gram
+        # matrix is the entrywise power G^n, so no 8^n-dimensional state is built.
+        gram = pure_gram(encode_amplitude_3bit())
+        assert orbit_leakage(gram ** copies) == pytest.approx(exact, abs=1e-12)
+
+    def test_gram_route_matches_the_dense_two_copies(self):
+        amplitude3 = encode_amplitude_3bit()
+        two_copies = Ensemble(amplitude3.symbols, [DensityOperator(np.kron(rho, rho))
+                                                   for rho in amplitude3.state_stack()])
+        assert orbit_leakage(two_copies) == pytest.approx(
+            orbit_leakage(pure_gram(amplitude3) ** 2), abs=1e-12)
+
+
+class TestProductOracle:
+    """Q({rho_a (x) sigma_b}) = Q({rho_a}) + Q({sigma_b}), so the certified
+    interval of a product must overlap the sum of its factors' intervals."""
+
+    @pytest.mark.parametrize("dims, sizes, seed", [
+        ((2, 2), (2, 3), 0), ((2, 2), (3, 3), 1), ((2, 4), (2, 3), 2), ((2, 4), (3, 3), 3)],
+        ids=["2x2 (2, 3)", "2x2 (3, 3)", "2x4 (2, 3)", "2x4 (3, 3)"])
+    def test_interval_overlaps_the_sum_of_the_factors(self, dims, sizes, seed):
+        rng = np.random.default_rng(seed)
+        first, second = (random_ensemble(d, n, rng) for d, n in zip(dims, sizes))
+        cfg = AscentConfig(restarts=2, seed=0)
+        a, b = compute_leakage(first, cfg), compute_leakage(second, cfg)
+        product = compute_leakage(product_ensemble(first, second), cfg)
+        assert product.optimal_povm.dim == dims[0] * dims[1]
+        lower = max(product.leakage_bits, a.leakage_bits + b.leakage_bits)
+        upper = min(product.upper_bound_bits, a.upper_bound_bits + b.upper_bound_bits)
+        assert lower <= upper + 1e-12
+        # Each interval is narrow, so the overlap is a real check.
+        assert product.gap_bits < 1e-3 and a.gap_bits + b.gap_bits < 1e-3
 
 class TestCertificate:
     """Every report brackets the leakage: leakage_bits is a feasible POVM's
