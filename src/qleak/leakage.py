@@ -7,7 +7,8 @@ advantage over all measurements,
 
 optimized here by projected subgradient ascent with random restarts. The
 restarts of a solve advance together as one stack of factors, one step
-trial each per pass, and each restart leaves the stack when it stops; they
+trial each and one whitening call for all per pass (one more whitens all
+the random starts), and each restart leaves the stack when it stops; they
 never interact, so every restart computes what it would compute alone. The
 value never depends on the prior, is zero exactly for indistinguishable
 ensembles, and is capped by min(log2 |X|, log2 d): tr(rho^x F_y) <= tr F_y,
@@ -53,18 +54,20 @@ from .states import (
     _factors,
     _noise_qubits,
     _products_and_traces,
+    _random_rows,
     _unit_trace,
     born_distribution,
     conditional_traces,
     random_kraus_channel,
-    random_povm,
+    random_povm,        # not called here; callers reach it as leakage.random_povm
     random_povm_factors,
 )
 
-# Step-size floor for step halving, the per-step slack within which a step
-# still counts as non-decreasing, and the whitening regularizer relative to
-# the normalizer's mean eigenvalue (keeps S^(-1/2) finite if S is singular).
-MU_MIN = 1e-6
+# Step-size floor for step halving and the largest step accepted, the
+# per-step slack within which a step still counts as non-decreasing, and the
+# whitening regularizer relative to the normalizer's mean eigenvalue (keeps
+# S^(-1/2) finite if S is singular).
+MU_MIN, MU_MAX = 1e-6, 10.0
 BACKTRACK_SLACK = 1e-13
 WHITENING_REG = 1e-12
 
@@ -105,17 +108,18 @@ class AscentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("mu", "eps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not 0.0 < self.mu <= 10.0:
-            raise ValueError(f"step size {self.mu} outside (0, 10]")
-        if not 0.0 < self.eps < math.inf:
-            raise ValueError(f"termination threshold {self.eps} must be finite "
-                             "and positive")
+        _check_positive("step size mu", self.mu, MU_MAX)
+        _check_positive("termination threshold eps", self.eps)
         for name, low in (("max_iters", 1), ("restarts", 1), ("seed", 0)):
             _check_count(name, getattr(self, name), low)
+
+
+def _check_positive(name: str, value, high: float = math.inf):
+    """Raise ValueError unless value is a finite real number (not a bool) in
+    (0, high]: the one check of the step size and the threshold."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0.0 < value <= high or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real in (0, {high}], got {value!r}")
 
 
 def _check_count(name: str, value, low: int):
@@ -231,14 +235,14 @@ def _evaluate(states: np.ndarray, columns: np.ndarray, rank: int = 1, work=(None
 
 def _step(picked: np.ndarray, columns: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """One ascent step of a stack of iterates (see _evaluate), each with its
-    own step size mu[i]. Returns the new columns."""
+    own step size mu[i] and whitening regularizer, all whitened in one
+    inv_sqrt_psd call. Returns the new columns."""
     drift = picked @ columns.conj().swapaxes(1, 2)              # sum_z rho^{x*(z)} F_z
     grown = columns + mu[:, None, None] * (
         picked - drift.conj().swapaxes(1, 2) @ columns)         # G_y^dag H_y
     normalizer = grown @ grown.conj().swapaxes(1, 2)
     regs = WHITENING_REG * np.trace(normalizer, axis1=1, axis2=2).real / columns.shape[1]
-    whiteners = [linalg.inv_sqrt_psd(s, reg) for s, reg in zip(normalizer, regs.tolist())]
-    return np.stack(whiteners) @ grown
+    return linalg.inv_sqrt_psd(normalizer, regs) @ grown
 
 
 def certify(states: np.ndarray, factors: np.ndarray, dual: np.ndarray):
@@ -283,8 +287,7 @@ def ascent_step(ensemble: Ensemble, povm: Povm, mu: float) -> Povm:
     sums to the identity up to the whitening regularizer; elements of any
     rank are accepted.
     """
-    if mu <= 0.0:
-        raise ValueError("step size must be positive")
+    _check_positive("step size mu", mu, MU_MAX)
     columns = _columns(povm.factors)[None]
     picked = _evaluate(ensemble.state_stack(), columns, povm.factors.shape[2])[1]
     stepped = _step(picked, columns, np.array([float(mu)]))
@@ -295,7 +298,7 @@ def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
                     threads: int = 1) -> LeakageReport:
     """Maximal leakage of an ensemble by subgradient ascent with restarts.
 
-    Each restart draws its own random POVM from a seed derived as
+    Each restart draws its own random POVM as random_povm does from the seed
     cfg.seed + restart index, ascends until the objective improves by less
     than cfg.eps (halving the step whenever it would lower the objective,
     so the trace never decreases), and the best final value wins. Hitting
@@ -307,8 +310,9 @@ def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
     certify's upper end. At an optimum of the ascent the shift is 0, up to
     how far the ascent stopped short.
 
-    All restarts advance together as one stack: each pass makes one step
-    trial for every restart still running, and a restart leaves the stack
+    All restarts advance together as one stack: one whitening call serves
+    all random starts, each pass makes one step trial, in one whitening
+    call, for every restart still running, and a restart leaves the stack
     when it stops. Restarts do not interact; each one computes exactly what
     it would compute alone. ``threads`` is accepted for compatibility and
     ignored.
@@ -321,8 +325,8 @@ def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
     cfg = cfg or AscentConfig()
     dim, states = ensemble.dim, ensemble.state_stack()
     outcomes = dim * dim
-    columns = np.stack([_columns(random_povm(dim, outcomes, cfg.seed + i).factors)
-                        for i in range(cfg.restarts)])
+    starts = _random_rows((1, outcomes, dim), range(cfg.seed, cfg.seed + cfg.restarts))
+    columns = np.ascontiguousarray(starts.swapaxes(1, 2))   # (R, d, m), as _columns
     # One pair of trace-kernel buffers for the whole solve: new arrays of this
     # size in every pass cost page faults, more or fewer by allocator state.
     work = (np.empty((cfg.restarts, ensemble.size * dim, outcomes), dtype=np.complex128),

@@ -479,24 +479,25 @@ def random_povm(dim: int, size: int, seed: int) -> Povm:
 
 def random_povm_factors(dim: int, size: int, count: int, seed: int) -> np.ndarray:
     """Factors (count, size, dim, 1) of ``count`` random rank-one POVMs, built
-    as random_povm describes from one generator: all real parts of the
-    Gaussian draws first, then all imaginary parts. One inv_sqrt_psd call
-    whitens every normalizer and one stacked eigh checks every POVM's
-    completeness at POVM_ATOL."""
+    as random_povm describes from one generator (see _random_rows)."""
     if size < dim:
-        raise DimensionMismatchError(
-            f"random POVM needs size >= dim for a full-rank normalizer, "
-            f"got size {size} < dim {dim}"
-        )
-    rng = np.random.default_rng(seed)
-    shape = (count, size, dim)
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    g /= np.sqrt(2.0)
-    s = np.einsum("cyi,cyj->cij", g, g.conj())
-    w = linalg.inv_sqrt_psd(s)
+        raise DimensionMismatchError(f"random POVM needs size >= dim for a full-rank "
+                                     f"normalizer, got size {size} < dim {dim}")
+    return _random_rows((count, size, dim), [seed])[..., None]
+
+
+def _random_rows(shape: tuple, seeds) -> np.ndarray:
+    """The one whitening path of random POVMs: rows h_y, (count, m, d) per
+    seed in seed order. Each default_rng(seed) draws all real parts of its
+    Gaussians g_y, then all imaginary parts; h_y = S^(-1/2) g_y, S = sum_y
+    g_y g_y^dag of its own draw. One inv_sqrt_psd call whitens every draw as
+    if alone, and one stacked eigh checks completeness at POVM_ATOL."""
+    g = np.concatenate([rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                        for rng in map(np.random.default_rng, seeds)]) / np.sqrt(2.0)
+    w = linalg.inv_sqrt_psd(np.einsum("cyi,cyj->cij", g, g.conj()))
     h = g @ w.swapaxes(1, 2)  # h_y = w @ g_y since w is symmetric under transpose-conj
     _check_completeness(h.swapaxes(1, 2) @ h.conj())
-    return h[..., None]
+    return h
 
 
 def random_kraus_channel(dim: int, n_ops: int, seed: int) -> KrausChannel:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,17 @@ class TestAscentStep:
         ref = self.dense_step(e, halves, 0.5)
         assert max(np.max(np.abs(a - b)) for a, b in zip(out, ref)) <= 1e-12
 
+    @pytest.mark.parametrize("mu", [np.inf, 1e300, np.nan, 0.0, -0.1, 10.5, True, "0.1"])
+    def test_step_is_checked_as_by_ascent_config(self, mu):
+        # One check for both: a finite real in (0, 10], before any matmul.
+        message = "^step size mu must be a finite real in \\(0, 10.0\\]"
+        with pytest.raises(ValueError, match=message):
+            AscentConfig(mu=mu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                ascent_step(encode_index(2), random_povm(2, 4, 0), mu)
+
     def test_output_is_valid_povm(self):
         rng = np.random.default_rng(3)
         e = random_ensemble(4, 3, rng)
@@ -314,6 +326,12 @@ class TestStackedRestarts:
                 assert np.array_equal(alone.optimal_povm.factors,
                                       report.optimal_povm.factors)
 
+    def test_restart_starts_from_random_povm_of_its_seed(self):
+        ensemble, cfg = encode_amplitude_3bit(), AscentConfig(restarts=4, max_iters=2, seed=3)
+        for i, trace in enumerate(compute_leakage(ensemble, cfg).traces):
+            start = random_povm(8, 64, cfg.seed + i)
+            assert trace.objectives[0] == leakage_objective(ensemble, start)[0]
+
     def test_capped_case_mixes_stop_reasons(self):
         make, cfg = self.CASES["capped qubits"]
         reasons = [t.stop_reason for t in compute_leakage(make(), cfg).traces]
@@ -325,18 +343,25 @@ class TestStackedRestarts:
         (encode_amplitude_3bit(), AscentConfig(restarts=2, max_iters=40, seed=1)),
     ])
     def test_one_whitening_per_step_trial(self, monkeypatch, ensemble, cfg):
-        calls = []
-        whiten = leakage.linalg.inv_sqrt_psd
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return whiten(*args, **kwargs)
-
-        monkeypatch.setattr(leakage.linalg, "inv_sqrt_psd", counted)
+        calls = count_whitening(monkeypatch)
         report = compute_leakage(ensemble, cfg)
-        # One per random initialization, one per iteration, one per halving.
-        assert len(calls) == cfg.restarts + sum(
-            t.iterations[-1] + t.backtracks for t in report.traces)
+        trials = [t.iterations[-1] + t.backtracks for t in report.traces]
+        # One matrix per random start, one per iteration, one per halving...
+        assert sum(calls["inv_sqrt_psd"]) == cfg.restarts + sum(trials)
+        # ...in one stacked call for all starts and one per pass, and a pass
+        # runs while any restart still makes a step trial.
+        assert len(calls["inv_sqrt_psd"]) == 1 + max(trials)
+        assert calls["random_povm"] == []
+
+    def test_seed0_iteration_sums_and_values_are_pinned(self):
+        # Pinned from the solver that whitened each restart in its own call;
+        # whitening the stack in one call changes no bit.
+        for ensemble, iters, bits in ((encode_index(8), 120, 2.999999999991361),
+                                      (encode_amplitude_3bit(), 262, 1.899968626671067),
+                                      (encode_index(4), 115, 1.999999999994585)):
+            report = compute_leakage(ensemble, AscentConfig(seed=0))
+            assert sum(t.iterations[-1] for t in report.traces) == iters
+            assert report.leakage_bits == bits
 
     def test_stop_reasons(self):
         converged = compute_leakage(encode_index(4), AscentConfig(restarts=2, seed=0))
@@ -612,20 +637,30 @@ class TestCertificate:
         assert np.array_equal(point, np.eye(2))
 
     def test_adds_no_whitening_or_random_povm(self, monkeypatch):
-        calls = {"inv_sqrt_psd": 0, "random_povm": 0}
-        for module, name in ((leakage.linalg, "inv_sqrt_psd"), (leakage, "random_povm")):
-            original = getattr(module, name)
-
-            def counted(*args, _original=original, _name=name, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
+        calls = count_whitening(monkeypatch)
         cfg = AscentConfig(restarts=3, seed=0)
         report = compute_leakage(encode_index(4), cfg)
-        iters = sum(t.iterations[-1] for t in report.traces)
-        backtracks = sum(t.backtracks for t in report.traces)
-        assert calls == {"inv_sqrt_psd": 3 + iters + backtracks, "random_povm": 3}
+        trials = [t.iterations[-1] + t.backtracks for t in report.traces]
+        assert sum(calls["inv_sqrt_psd"]) == 3 + sum(trials)
+        assert len(calls["inv_sqrt_psd"]) == 1 + max(trials)
+        assert calls["random_povm"] == []
+
+
+def count_whitening(monkeypatch):
+    """Record the matrices that each inv_sqrt_psd call whitens (the leading
+    size of its stack) and every random_povm call, as seen by leakage."""
+    calls = {"inv_sqrt_psd": [], "random_povm": []}
+    for module, name in ((leakage.linalg, "inv_sqrt_psd"), (leakage, "random_povm"),
+                         (states, "random_povm")):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            # A stack of k matrices counts k; any other first argument counts 1.
+            calls[_name].append(math.prod(np.shape(args[0])[:-2]))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def widen_later_dual_ends(monkeypatch):
