@@ -16,7 +16,7 @@ import numpy as np
 from qleak import AscentConfig, compute_leakage, encode_index, noise_curve
 
 ensemble = encode_index(4)
-cfg = AscentConfig(restarts=6, seed=0)
+cfg = AscentConfig()
 report = compute_leakage(ensemble, cfg)
 q0 = report.leakage_bits
 grid = np.linspace(0.0, 1.0, 6)

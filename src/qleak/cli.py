@@ -1,8 +1,9 @@
 """qleak command line: compute leakage, sweep depolarizing noise, verify
 structural properties.
 
-`compute` writes the optimal POVM as its factors H_y (F_y = H_y H_y^dag), an
-(m, d, r) stack of [re, im] pairs read back by `Povm.from_factors`.
+`compute` writes the optimal POVM, one element per symbol (`povm_symbols`),
+as its factors H_x (E_x = H_x H_x^dag), an (|X|, d, d) stack of [re, im]
+pairs read back by `Povm.from_factors`, and the solve's one trace CSV.
 
 Exit codes: 0 success, 2 invalid input or schema, 3 numerical failure,
 4 unsupported configuration (e.g. per-qubit noise on a non-power-of-two
@@ -52,9 +53,10 @@ EXIT_PROPERTY = 5
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-# Help text of the ascent flags: one flag per AscentConfig field.
-ASCENT_HELP = {"mu": "ascent step size",
-               "eps": "absolute objective-change termination threshold"}
+# Help text of the solver flags: one flag per AscentConfig field.
+ASCENT_HELP = {"mu": "no-op, kept for old scripts", "restarts": "no-op, kept for old scripts",
+               "eps": "certified-gap target in bits", "max_iters": "iteration cap",
+               "seed": "seed of verify's random probes and channel"}
 
 
 def _ascent_flags(parser: argparse.ArgumentParser):
@@ -74,8 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     compute = sub.add_parser(
         "compute", help="optimize the leakage of one ensemble",
-        description="Run subgradient ascent with restarts and write the "
-                    "result JSON plus one convergence CSV per restart.")
+        description="Solve the min-error discrimination SDP with one primal-dual "
+                    "interior-point method and write the result JSON plus the "
+                    "solve's convergence CSV.")
     compute.add_argument("--ensemble", required=True,
                          help=f"path to an ensemble JSON file, or one of "
                               f"{', '.join('builtin:' + n for n in builtin_names())}")
@@ -162,7 +165,7 @@ class _Run:
         """The provenance of a run; extra keys join the config."""
         wall = time.perf_counter() - self.started
         config = dataclasses.asdict(self.cfg)
-        config["povm_size"] = self.ensemble.dim ** 2  # outcomes of every restart's POVM
+        config["povm_size"] = self.ensemble.size  # one POVM element per symbol
         config.update(extra)
         return {
             "command": self.args.command,
@@ -193,9 +196,8 @@ def _write_csvs(manifest: dict, header: list[str], tables):
 
 
 def _cmd_compute(run: _Run) -> int:
-    result_path, *trace_paths = run.start(
-        "result.json", *(f"trace_restart_{i:02d}.csv" for i in range(run.cfg.restarts)))
-    report = compute_leakage(run.ensemble, run.cfg)
+    result_path, *trace_paths = run.start("result.json", "trace_restart_00.csv")
+    report = compute_leakage(run.ensemble, run.cfg)   # one solve: one trace
     manifest = run.manifest()
     _write_json(result_path, {
         "leakage_bits": report.leakage_bits,
@@ -207,8 +209,8 @@ def _cmd_compute(run: _Run) -> int:
         "restart_leakages": report.restart_leakages,
         "converged": report.converged_flags,
         "stop_reasons": [trace.stop_reason for trace in report.traces],
-        "backtracks": [trace.backtracks for trace in report.traces],
         "optimal_povm_factors": matrix_to_pairs(report.optimal_povm.factors),
+        "povm_symbols": list(run.ensemble.symbols),
         "dual": matrix_to_pairs(report.dual),
     }, manifest)
     _write_csvs(manifest, ["iteration", "objective", "leakage_bits", "step_size"],
@@ -216,8 +218,8 @@ def _cmd_compute(run: _Run) -> int:
     print(f"leakage_bits={report.leakage_bits:.6f} "
           f"in [{report.leakage_bits:.9f}, {report.upper_bound_bits:.9f}] "
           f"(gap {report.gap_bits:.1e} bits, ceiling {report.ceiling_bits:.6f}), "
-          f"{sum(report.converged_flags)}/{len(report.traces)} restarts converged "
-          f"-> {result_path}")
+          f"stop reason {report.traces[0].stop_reason} after "
+          f"{report.traces[0].iterations[-1]} iterations -> {result_path}")
     return EXIT_OK
 
 

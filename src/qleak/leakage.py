@@ -1,31 +1,24 @@
 """Maximal-leakage engine.
 
 The leakage of an ensemble {p(x), rho^x} is the best multiplicative guessing
-advantage over all measurements,
+advantage over all measurements, log2( sup_POVM sum_y max_x tr(rho^x F_y) ).
+Grouping the outcomes by their winning symbol leaves one element E_x per
+symbol: min-error discrimination at the uniform prior, an SDP that
+compute_leakage solves with one primal-dual interior-point method. The value
+never depends on the prior, is zero exactly for indistinguishable ensembles,
+and is capped by min(log2 |X|, log2 d) (tr(rho^x F_y) <= tr F_y; the paper
+states 2 log2 d). Several verified guesses instead of one do not change it.
+ascent_step, one step of a projected subgradient ascent, is kept as a
+measurement update whose fixed points include the optimum.
 
-    log2( sup_POVM  sum_y  max_x  tr(rho^x F_y) ),
-
-optimized here by projected subgradient ascent with random restarts. The
-restarts of a solve advance together as one stack of factors, one step
-trial each and one whitening call for all per pass (one more whitens all
-the random starts), and each restart leaves the stack when it stops; they
-never interact, so every restart computes what it would compute alone. The
-value never depends on the prior, is zero exactly for indistinguishable
-ensembles, and is capped by min(log2 |X|, log2 d): tr(rho^x F_y) <= tr F_y,
-so the objective is at most tr I = d (the paper states 2 log2 d). Allowing
-an adversary several verified guesses instead of one does not change the
-quantity, so no separate multi-guess computation exists.
-
-Each solve is certified: its POVM gives the lower bound, and a dual point
-Y >= rho^x for every x the upper one, both formed by certify. Both move
-through a channel N without a new solve, Y as N(Y): noise_curve carries
-both, and verify's channel checks carry N(Y) alone (_upper_or_solve). A
-noise grid moves as one stack, with a leading grid axis (_noise_points).
-
-Closed-form companions: the exact two-state value log2(1 + T), a brute-force
-qubit search, the global depolarizing transfer formula and the per-qubit
-noise upper bound, plus a batch verifier that turns all of the structural
-properties into executable checks.
+Each solve is certified: its POVM gives the lower bound and a dual point
+Y >= rho^x the upper one, both formed by certify. Both move through a
+channel N without a new solve, Y as N(Y): noise_curve carries both, and
+verify's channel checks carry N(Y) alone (_upper_or_solve); a noise grid
+moves as one stack (_noise_points). Closed-form companions: the two-state
+value log2(1 + T), a brute-force qubit search, the global depolarizing
+transfer and the per-qubit noise bound; verify_properties turns the
+structural properties into executable checks.
 """
 
 from __future__ import annotations
@@ -54,7 +47,6 @@ from .states import (
     _factors,
     _noise_qubits,
     _products_and_traces,
-    _random_rows,
     _unit_trace,
     born_distribution,
     conditional_traces,
@@ -63,43 +55,36 @@ from .states import (
     random_povm_factors,
 )
 
-# Step-size floor for step halving and the largest step accepted, the
-# per-step slack within which a step still counts as non-decreasing, and the
-# whitening regularizer relative to the normalizer's mean eigenvalue (keeps
-# S^(-1/2) finite if S is singular).
+# The largest step ascent_step accepts and its whitening regularizer relative
+# to the normalizer's mean eigenvalue; MU_MIN, the former step floor, is kept
+# for the benchmark harness's tests.
 MU_MIN, MU_MAX = 1e-6, 10.0
-BACKTRACK_SLACK = 1e-13
 WHITENING_REG = 1e-12
+
+# compute_leakage steps by STEP_FRACTION of the largest PSD-keeping step and
+# recenters after a step shorter than RECENTER_BELOW (degenerate ensembles
+# stall near the target otherwise); it certifies iterates whose own gap is at
+# most max(eps, CERTIFY_BELOW_BITS) bits (certifying all doubles a small
+# solve's cost), and raises on an upper end INVERSION_RTOL below the lower.
+STEP_FRACTION, RECENTER_BELOW = 0.98, 0.2
+CERTIFY_BELOW_BITS, INVERSION_RTOL = 1e-6, 1e-12
 
 # Random POVMs that the povm_dominance check probes besides the optimum, and
 # how many of them one trace-kernel call scores.
 DOMINANCE_PROBES = 100
 DOMINANCE_BLOCK = 10
 
-# Widest certified interval, in bits, that noise_curve reports without a
-# solve when it carries a report through a channel.
+# Widest certified interval, in bits, that noise_curve carries through a
+# channel without a solve, and that optimality_gap accepts above cfg.eps.
 TRANSFER_GAP_BITS = 1e-6
 
 
 @dataclass(frozen=True)
 class AscentConfig:
-    """Knobs of the subgradient ascent.
-
-    Every restart starts from a random rank-one POVM with d^2 outcomes, the
-    size that always suffices for the optimum.
-
-    Each iteration tries the step mu first and halves it while the objective
-    would fall. The default 0.7 keeps the tilt G = I + mu (rho^x - D),
-    D = sum_z rho^{x*(z)} F_z (see ascent_step), invertible with a margin:
-    at the optimum of an index ensemble D = I and rho^x - D = -(I - |x><x|),
-    so G is singular at mu = 1 and its smallest eigenvalue is 1 - mu = 0.3.
-    At AscentConfig(seed=0) the iteration sums are 120 (index8), 262
-    (amplitude3) and 115 (index4), against 190, 374 and 178 at step 0.5.
-    The default stops at 0.7 because longer steps lose value against 0.5:
-    0.75 lowers index2 at seed 10 by 2.9e-11 bits, and 0.8 lowers index2,
-    index4 and index8 at each of seeds 0, 10 and 20, and amplitude3 at
-    seed 20.
-    """
+    """Settings of a solve and of verify_properties: eps is the certified
+    gap target in bits, max_iters caps the iterations, seed seeds verify's
+    random probes and channel. mu (checked as ascent_step checks its step)
+    and restarts are kept for the command line and change no solve."""
 
     mu: float = 0.7
     eps: float = 1e-9
@@ -130,24 +115,21 @@ def _check_count(name: str, value, low: int):
 
 @dataclass
 class ConvergenceTrace:
-    """Per-iteration history of one restart, and why it stopped.
+    """Per-iteration history of one solve, and why it stopped.
 
-    objectives and step_sizes hold iterations 0..n, 0 the random start with
-    step 0. stop_reason is "eps" (the objective changed by less than eps),
-    "step_floor" (no step down to MU_MIN kept the objective, so the iterate
-    was held; this also counts as converged) or "max_iters" (the cap).
-    backtracks counts the step halvings: the step trials beyond the first
-    of each iteration.
+    objectives holds iterations 0..n (0 the start), each the best certified
+    lower objective so far; step_sizes the primal step lengths, 0 at the
+    start. stop_reason is "gap" (the interval is at most eps bits wide, the
+    one converged reason), "max_iters" or "stall" (a step failed first).
     """
 
     objectives: list[float] = field(default_factory=list)
     step_sizes: list[float] = field(default_factory=list)
     stop_reason: str = ""
-    backtracks: int = 0
 
     @property
     def converged(self) -> bool:
-        return self.stop_reason in ("eps", "step_floor")
+        return self.stop_reason == "gap"
 
     @property
     def iterations(self) -> list[int]:
@@ -165,12 +147,11 @@ class ConvergenceTrace:
 
 @dataclass
 class LeakageReport:
-    """Outcome of a multi-restart leakage computation.
-
-    The leakage lies in the certified interval [leakage_bits,
-    upper_bound_bits] (see certify): the value of the feasible POVM
-    optimal_povm, and log2 tr(dual) for a d x d dual >= every rho^x.
-    """
+    """Outcome of a leakage computation: the leakage lies in the certified
+    interval [leakage_bits, upper_bound_bits] (see certify), the value of
+    optimal_povm (one element per symbol, in the ensemble's order) and
+    log2 tr(dual) for a d x d dual >= every rho^x. The one solve is restart
+    0, so traces and restart_leakages have one entry each."""
 
     leakage_bits: float
     optimal_povm: Povm
@@ -203,46 +184,34 @@ def _bits(objective: float) -> float:
 
 
 def leakage_objective(ensemble: Ensemble, povm: Povm):
-    """Evaluate the leakage objective for one fixed measurement.
-
-    Returns
-    -------
-    (objective, leakage_bits, argmax_map)
-        objective is sum_y max_x Re tr(rho^x F_y); leakage_bits its log2;
-        argmax_map lists, per outcome, the symbol attaining the inner max
-        (ties resolved to the earliest symbol). The POVM's completeness
-        check keeps the objective within [1, |X|] up to |X| * POVM_ATOL.
-    """
+    """(objective, leakage_bits, argmax_map) of one fixed measurement:
+    sum_y max_x Re tr(rho^x F_y), its log2, and per outcome the symbol
+    attaining the inner max (ties to the earliest). The POVM's completeness
+    check keeps the objective within [1, |X|] up to |X| * POVM_ATOL."""
     traces = conditional_traces(ensemble.state_stack(), povm.factors).real
     objective = float(_objectives(traces))
     winners = [ensemble.symbols[i] for i in traces.argmax(axis=0)]
     return objective, _bits(objective), winners
 
 
-def _evaluate(states: np.ndarray, columns: np.ndarray, rank: int = 1, work=(None, None)):
-    """Score a stack of iterates, columns (R, d, m r) with factors of rank r:
-    returns the objectives (R,) and the winning products rho^{x*(y)} H_y
-    (R, d, m r) that the next step tilts toward, both from the one trace
-    kernel (with its ``work`` buffers)."""
-    products, traces = _products_and_traces(states, columns, rank, work)
+def _evaluate(states: np.ndarray, columns: np.ndarray, rank: int = 1):
+    """Score an iterate, columns (d, m r) with factors of rank r: its
+    objective and the winning products rho^{x*(y)} H_y (d, m r) that a step
+    tilts toward, both from the one trace kernel."""
+    products, traces = _products_and_traces(states, columns, rank)   # (|X|, d, m, r)
     traces = traces.real
-    # picked[i, :, y] = products[i, x*(y), :, y], x*(y) the winner of outcome y
-    count, _, dim, outcomes, _ = products.shape
-    picked = products[np.arange(count)[:, None, None], traces.argmax(axis=1)[:, None, :],
-                      np.arange(dim)[:, None], np.arange(outcomes)]
-    return _objectives(traces), picked.reshape(columns.shape)
+    # picked[y] = products[x*(y), :, y], x*(y) the winner of outcome y
+    picked = products[traces.argmax(axis=0), :, np.arange(traces.shape[1])]
+    return _objectives(traces), picked.transpose(1, 0, 2).reshape(columns.shape)
 
 
-def _step(picked: np.ndarray, columns: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """One ascent step of a stack of iterates (see _evaluate), each with its
-    own step size mu[i] and whitening regularizer, all whitened in one
-    inv_sqrt_psd call. Returns the new columns."""
-    drift = picked @ columns.conj().swapaxes(1, 2)              # sum_z rho^{x*(z)} F_z
-    grown = columns + mu[:, None, None] * (
-        picked - drift.conj().swapaxes(1, 2) @ columns)         # G_y^dag H_y
-    normalizer = grown @ grown.conj().swapaxes(1, 2)
-    regs = WHITENING_REG * np.trace(normalizer, axis1=1, axis2=2).real / columns.shape[1]
-    return linalg.inv_sqrt_psd(normalizer, regs) @ grown
+def _step(picked: np.ndarray, columns: np.ndarray, mu: float) -> np.ndarray:
+    """One ascent step of an iterate (see _evaluate); the new columns."""
+    drift = picked @ columns.conj().T                               # sum_z rho^{x*(z)} F_z
+    grown = columns + mu * (picked - drift.conj().T @ columns)      # G_y^dag H_y
+    normalizer = grown @ grown.conj().T
+    reg = WHITENING_REG * np.trace(normalizer).real / len(columns)
+    return linalg.inv_sqrt_psd(normalizer, reg) @ grown
 
 
 def certify(states: np.ndarray, factors: np.ndarray, dual: np.ndarray):
@@ -251,15 +220,13 @@ def certify(states: np.ndarray, factors: np.ndarray, dual: np.ndarray):
     (lower, upper, point). lower = sum_y max_x tr(rho^x F_y) of the POVM.
     With Y the Hermitian part of ``dual`` and l = min_x lambda_min(Y - rho^x)
     of either sign, point = Y - l I dominates every rho^x, which bounds every
-    POVM's objective by tr Y - d l: the dual of the min-error discrimination
-    SDP, min tr Y s.t. Y >= rho^x (Koenig, Renner and Schaffner, IEEE TIT 55,
-    2009). upper = max(lower, tr Y - d l); the max only absorbs eigvalsh
-    roundoff. The inputs are plain arrays, so a result.json's optimal_povm
-    and dual can be rechecked. Not covered: a POVM completeness defect of at
-    most 1e-12, which costs at most 1.5e-12 bits (rescale by 1/(1 + defect)),
-    and eigvalsh roundoff in l, about d u ||Y - rho^x|| (u the unit roundoff).
-    States (P, |X|, d, d) and duals (P, d, d) give (P,) ends, one per point.
-    """
+    POVM's objective by tr Y - d l, the SDP dual min tr Y s.t. Y >= rho^x
+    (Koenig, Renner and Schaffner, IEEE TIT 55, 2009). upper = max(lower,
+    tr Y - d l); the max only absorbs roundoff. Plain-array inputs let a
+    result.json be rechecked. Not covered: a completeness defect of at most
+    1e-12 (at most 1.5e-12 bits) and eigvalsh roundoff in l, about
+    d u ||Y - rho^x||. States (P, |X|, d, d) and duals (P, d, d) give (P,)
+    ends, one per point."""
     lower = _objectives(conditional_traces(states, factors).real)
     upper, point = _dual_upper(states, dual)
     return lower, np.maximum(upper, lower), point      # a NaN upper end stays NaN
@@ -274,121 +241,140 @@ def _dual_upper(states: np.ndarray, dual: np.ndarray):
 
 
 def ascent_step(ensemble: Ensemble, povm: Povm, mu: float) -> Povm:
-    """One step of the measurement update.
-
-    Tilts each element toward the state currently winning its outcome,
-    then renormalizes the set back onto the POVM manifold:
+    """One step of the measurement update: tilt each element toward the
+    state winning its outcome and renormalize the set onto the POVMs,
 
         F_y  <-  S^(-1/2) G_y^dag F_y G_y S^(-1/2),
-        G_y = I + mu (rho^{x*(y)} - sum_z rho^{x*(z)} F_z),  S = sum_y (...).
+        G_y = I + mu (rho^{x*(y)} - sum_z rho^{x*(z)} F_z),  S = sum_y (...),
 
-    The update acts on the POVM's factors F_y = H_y H_y^dag
-    (H_y <- S^(-1/2) G_y^dag H_y), so every element stays PSD and the set
-    sums to the identity up to the whitening regularizer; elements of any
-    rank are accepted.
+    on the factors F_y = H_y H_y^dag (H_y <- S^(-1/2) G_y^dag H_y), so every
+    element stays PSD and the set sums to the identity up to the whitening
+    regularizer; elements of any rank are accepted.
     """
     _check_positive("step size mu", mu, MU_MAX)
-    columns = _columns(povm.factors)[None]
+    columns = _columns(povm.factors)
     picked = _evaluate(ensemble.state_stack(), columns, povm.factors.shape[2])[1]
-    stepped = _step(picked, columns, np.array([float(mu)]))
-    return Povm.from_factors(_factors(stepped[0], len(povm)))
+    return Povm.from_factors(_factors(_step(picked, columns, float(mu)), len(povm)))
 
 
 def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
                     threads: int = 1) -> LeakageReport:
-    """Maximal leakage of an ensemble by subgradient ascent with restarts.
+    """Maximal leakage by one primal-dual interior-point solve of min-error
+    discrimination, max sum_x tr(rho^x E_x) over POVMs {E_x}, whose dual is
+    min tr Y s.t. Z_x = Y - rho^x >= 0 (Koenig, Renner and Schaffner 2009).
 
-    Each restart draws its own random POVM as random_povm does from the seed
-    cfg.seed + restart index, ascends until the objective improves by less
-    than cfg.eps (halving the step whenever it would lower the objective,
-    so the trace never decreases), and the best final value wins. Hitting
-    max_iters is not an error; the restart is just flagged unconverged.
-
-    The report certifies its value: certify shifts Y0 = sum_y rho^{x*(y)} F_y,
-    over the best restart's final POVM F and its winners x*(y), onto the
-    states; the shifted point is report.dual and upper_bound_bits is log2 of
-    certify's upper end. At an optimum of the ascent the shift is 0, up to
-    how far the ascent stopped short.
-
-    All restarts advance together as one stack: one whitening call serves
-    all random starts, each pass makes one step trial, in one whitening
-    call, for every restart still running, and a restart leaves the stack
-    when it stops. Restarts do not interact; each one computes exactly what
-    it would compute alone. ``threads`` is accepted for compatibility and
-    ignored.
-
-    The prior never enters the objective, so reports are bit-identical
-    under reweighted priors for the same seed. The completeness check of
-    the winning factors bounds the objective by min(|X|, d) (1 + POVM_ATOL);
-    verify_properties' "ceiling" check is the one ceiling test.
+    From E_x = I/|X| and Y = (max_x lambda_max(rho^x) + 1) I it takes
+    _interior_step steps, certifies (_certificate) the start, the last step
+    the cap allows and each iterate whose own gap is at most max(cfg.eps,
+    CERTIFY_BELOW_BITS) bits, and reports the best lower end (its POVM) and
+    upper end (its dual point). It stops with reason "gap" once they lie at
+    most cfg.eps bits apart, "max_iters" after cfg.max_iters steps, or
+    "stall" when a step fails numerically. It raises NumericalFailureError
+    if the start cannot be certified or the interval is inverted beyond
+    INVERSION_RTOL. cfg.mu, cfg.restarts, cfg.seed, the prior and
+    ``threads`` do not change a solve.
     """
     cfg = cfg or AscentConfig()
-    dim, states = ensemble.dim, ensemble.state_stack()
-    outcomes = dim * dim
-    starts = _random_rows((1, outcomes, dim), range(cfg.seed, cfg.seed + cfg.restarts))
-    columns = np.ascontiguousarray(starts.swapaxes(1, 2))   # (R, d, m), as _columns
-    # One pair of trace-kernel buffers for the whole solve: new arrays of this
-    # size in every pass cost page faults, more or fewer by allocator state.
-    work = (np.empty((cfg.restarts, ensemble.size * dim, outcomes), dtype=np.complex128),
-            np.empty((cfg.restarts, ensemble.size, dim, outcomes, 1), dtype=np.complex128))
-    objectives, picked = _evaluate(states, columns, 1, work)   # rank-one starts
-    values = objectives.tolist()   # rows, values and mu: lists, one entry per running restart
-    history = [ConvergenceTrace(objectives=[value], step_sizes=[0.0]) for value in values]
-    finals = [None] * cfg.restarts
-    rows, mu = list(range(cfg.restarts)), [float(cfg.mu)] * cfg.restarts
-
-    while rows:
-        candidates = _step(picked, columns, np.array(mu))
-        cand_objectives, cand_picked = _evaluate(states, candidates, 1,
-                                                 [w[:len(rows)] for w in work])
-        trials = cand_objectives.tolist()
-        accept = [new >= old - BACKTRACK_SLACK for new, old in zip(trials, values)]
-        if all(accept):
-            columns, picked = candidates, cand_picked
-        elif any(accept):
-            columns[accept], picked[accept] = candidates[accept], cand_picked[accept]
-        running = []
-        for i, restart in enumerate(rows):
-            trace, step = history[restart], mu[i]
-            # A trial that fails at the step floor holds the iterate in place,
-            # which keeps the trace monotone and stops the restart. Any other
-            # failed trial halves the step and tries again in the next pass.
-            if not accept[i] and step > MU_MIN:
-                trace.backtracks += 1
-                mu[i] = max(step / 2.0, MU_MIN)
-                running.append(i)
+    states = ensemble.state_stack()
+    size, dim = states.shape[:2]
+    povm = np.repeat(np.eye(dim, dtype=np.complex128)[None] / size, size, axis=0)
+    dual = (np.linalg.eigvalsh(states)[:, -1].max() + 1.0) * np.eye(dim)
+    trace, step, lower, upper = ConvergenceTrace(), 0.0, -math.inf, math.inf
+    certificate = _certificate(states, povm, dual)
+    while True:
+        if certificate:
+            low, high, measurement, point = certificate
+            if low > lower:
+                lower, optimal = low, measurement
+            if high < upper:
+                upper, best_dual = high, point
+            if upper < lower * (1.0 - INVERSION_RTOL):
+                raise NumericalFailureError(
+                    f"certified interval inverted: upper end {upper!r} < lower end {lower!r}")
+        trace.objectives.append(lower)
+        trace.step_sizes.append(step)
+        if _bits(upper) - _bits(lower) <= cfg.eps:
+            trace.stop_reason = "gap"
+        elif len(trace.objectives) > cfg.max_iters:
+            trace.stop_reason = "max_iters"
+        else:
+            try:
+                povm, dual, step = _interior_step(states, povm, dual)
+                # tr Y against sum_x tr(rho^x E_x) = tr Y - sum_x tr(E_x Z_x)
+                # bounds the certified gap; vdot(Z, E) is that sum for Z = Z^dag.
+                total = float(np.trace(dual).real)
+                own = _bits(total) - _bits(total - np.vdot(dual - states, povm).real)
+                due = (own <= max(cfg.eps, CERTIFY_BELOW_BITS)
+                       or len(trace.objectives) == cfg.max_iters)
+                certificate = _certificate(states, povm, dual) if due else None
                 continue
-            change = abs(trials[i] - values[i]) if accept[i] else 0.0   # 0 if held
-            values[i], mu[i] = trials[i] if accept[i] else values[i], float(cfg.mu)
-            trace.objectives.append(values[i])
-            trace.step_sizes.append(step)
-            if change < cfg.eps:
-                trace.stop_reason = "eps" if accept[i] else "step_floor"
-            elif len(trace.objectives) > cfg.max_iters:
-                trace.stop_reason = "max_iters"
-            else:
-                running.append(i)
-                continue
-            finals[restart] = columns[i].copy(), picked[i].copy()
-        if len(running) < len(rows):
-            rows, values, mu = ([x[i] for i in running] for x in (rows, values, mu))
-            columns, picked = columns[running], picked[running]
-
-    restart_leakages = [_bits(trace.objectives[-1]) for trace in history]
-    best = int(np.argmax(restart_leakages))
-    final_columns, final_picked = finals[best]
-    factors = _factors(final_columns, outcomes)
-    _, upper, dual = certify(states, factors, final_picked @ final_columns.conj().T)
+            except (np.linalg.LinAlgError, NumericalFailureError):
+                trace.stop_reason = "stall"
+        break
+    bits = _bits(lower)
     return LeakageReport(
-        leakage_bits=restart_leakages[best],
-        optimal_povm=Povm.from_factors(factors),
-        best_restart=best,
-        traces=history,
-        restart_leakages=restart_leakages,
-        ceiling_bits=min(math.log2(ensemble.size), math.log2(dim)),
-        dual=dual,
-        upper_bound_bits=_bits(upper),
-    )
+        leakage_bits=bits, optimal_povm=optimal, best_restart=0, traces=[trace],
+        restart_leakages=[bits], ceiling_bits=min(math.log2(size), math.log2(dim)),
+        dual=best_dual, upper_bound_bits=_bits(max(upper, lower)))
+
+
+def _certificate(states: np.ndarray, povm: np.ndarray, dual: np.ndarray):
+    """(lower, upper before certify's max, POVM, point) of an iterate: E
+    renormalized by S^(-1/2), S = sum_x E_x, and factored by eigh into
+    (|X|, d, d) factors (Povm.from_factors checks completeness), and Y."""
+    root = linalg.inv_sqrt_psd(povm.sum(axis=0))
+    vals, vecs = np.linalg.eigh(root @ povm @ root)
+    measurement = Povm.from_factors(vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :])
+    upper, point = _dual_upper(states, dual)
+    lower = _objectives(conditional_traces(states, measurement.factors).real)
+    return float(lower), float(upper), measurement, point
+
+
+def _interior_step(states: np.ndarray, povm: np.ndarray, dual: np.ndarray):
+    """One Mehrotra predictor-corrector step along the HKM direction from
+    sum_x E_x = I and Z_x = Y - rho^x > 0; returns (E, Y, primal step). With
+    W_x = Z_x^-1, mu = sum_x tr(E_x Z_x) / (|X| d) and C = 0 (predictor,
+    sigma = 0) or C_x = herm(dE_x dY W_x) of the predictor (corrector, sigma
+    = (mu_aff / mu)^3), dY solves sum_x herm(E_x dY W_x) = sigma mu sum_x W_x
+    - I - sum_x C_x, and dE_x = sigma mu W_x - E_x - herm(E_x dY W_x) - C_x.
+    Lengths are the largest steps up to 1 keeping E and Z PSD, times
+    STEP_FRACTION in the corrector; a corrector shorter than RECENTER_BELOW
+    is replaced by a centering step (sigma = 1, C = 0). Raises LinAlgError
+    on a failed factorization or solve or a non-finite length."""
+    size, dim = povm.shape[:2]
+    slack = dual - states
+    # Inverse Cholesky factors L^-1 of every E_x and Z_x; W_x = L^-dag L^-1.
+    inverse = np.linalg.inv(np.linalg.cholesky(np.concatenate([povm, slack])))
+    inverse_dag = inverse.conj().swapaxes(1, 2)
+    w = inverse_dag[size:] @ inverse[size:]
+    mu = np.vdot(slack, povm).real / (size * dim)      # sum_x tr(E_x Z_x) / (|X| d)
+    # The system on row-major vec(dY), 1/2 sum_x [kron(E_x, W_x^T) + kron(W_x,
+    # E_x^T)], from one product of [E; W] and [W; E] as (2|X|, d^2) arrays.
+    left = np.concatenate([povm, w]).reshape(-1, dim * dim)
+    right = np.concatenate([w, povm]).swapaxes(1, 2).reshape(-1, dim * dim)
+    system = (left.T @ right).reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(
+        dim * dim, dim * dim) / 2
+    w_sum, eye, moves = w.sum(axis=0), np.eye(dim), np.empty_like(inverse)
+
+    def direction(target, corrector, fraction):
+        """Write [dE; dY per x] into moves; return its (primal, dual) lengths."""
+        rhs = target * w_sum - eye - corrector.sum(axis=0)
+        dy = linalg.hermitize(np.linalg.solve(system, rhs.reshape(-1)).reshape(dim, dim))
+        moves[:size] = target * w - povm - linalg.hermitize(povm @ dy @ w) - corrector
+        moves[size:] = dy
+        # The largest a with X + a dX >= 0 is -1/lambda_min(L^-1 dX L^-dag).
+        low = np.linalg.eigvalsh(inverse @ moves @ inverse_dag)[:, 0]
+        if not np.isfinite(low).all():
+            raise np.linalg.LinAlgError("non-finite step direction")
+        return [fraction / max(1.0, -part.min()) for part in (low[:size], low[size:])]
+
+    primal, dual_step = direction(0.0, np.zeros_like(povm), 1.0)
+    de, dy = moves[:size], moves[size]      # views: read before the corrector refills moves
+    sigma = (np.vdot(slack + dual_step * dy, povm + primal * de).real / (size * dim) / mu) ** 3
+    primal, dual_step = direction(sigma * mu, linalg.hermitize(de @ dy @ w), STEP_FRACTION)
+    if min(primal, dual_step) < RECENTER_BELOW:     # off the central path: recenter
+        primal, dual_step = direction(mu, np.zeros_like(povm), STEP_FRACTION)
+    return povm + primal * moves[:size], dual + dual_step * moves[size], primal
 
 
 def two_state_leakage(rho0: DensityOperator, rho1: DensityOperator) -> float:
@@ -471,13 +457,15 @@ def _mutual_information(priors: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 
 def _probe_scores(ensemble: Ensemble, factors: np.ndarray):
-    """(I(X;Y), log2 objective) in bits, one value each per rank-one POVM of
-    a factor stack (k, m, d, 1) such as random_povm_factors draws; scored
-    through the one trace kernel, DOMINANCE_BLOCK POVMs per call."""
+    """(I(X;Y), log2 objective) in bits, one value each per POVM of a factor
+    stack (k, m, d, r), such as the rank-one ones random_povm_factors draws;
+    scored through the one trace kernel, DOMINANCE_BLOCK POVMs per call."""
     states, info, bits = ensemble.state_stack(), [], []
-    for start in range(0, len(factors), DOMINANCE_BLOCK):
-        columns = factors[start:start + DOMINANCE_BLOCK, :, :, 0].swapaxes(1, 2)
-        traces = _products_and_traces(states, columns, 1)[1].real
+    (count, outcomes, dim, rank) = factors.shape
+    columns = factors.transpose(0, 2, 1, 3).reshape(count, dim, outcomes * rank)
+    for start in range(0, count, DOMINANCE_BLOCK):
+        traces = _products_and_traces(states, columns[start:start + DOMINANCE_BLOCK],
+                                      rank)[1].real
         info.append(_mutual_information(ensemble.priors, np.clip(traces, 0.0, 1.0)))
         bits.append(np.log2(np.maximum(_objectives(traces), 1.0)))
     return np.concatenate(info), np.concatenate(bits)
@@ -521,16 +509,13 @@ def _noise_points(ensemble: Ensemble, kind: str, grid, report: LeakageReport):
 def noise_curve(ensemble: Ensemble, kind: str, grid, cfg: AscentConfig,
                 report: LeakageReport):
     """Leakage of the depolarized ensemble against its closed form, carried
-    from ``report``, the noiseless ensemble's solve.
-
-    Returns (rows, solved): a row (p, direct_bits, closed_form_bits) for
-    each point of _noise_points, and the p of every point solved with cfg.
-    direct_bits is always the value of a feasible measurement:
-    report.leakage_bits at p = 0 (the identity channel); elsewhere certify
-    bounds the report's POVM and its dual point Y carried to N(Y), the whole
-    grid in one pass, and reports the lower end of an interval at most
-    TRANSFER_GAP_BITS wide, else a solve's value. Bad input raises first.
-    """
+    from ``report``, the noiseless ensemble's solve. Returns (rows, solved):
+    a row (p, direct_bits, closed_form_bits) per point of _noise_points and
+    the p of each point solved with cfg. direct_bits is a feasible POVM's
+    value: report.leakage_bits at p = 0; elsewhere the lower end of certify
+    on the report's POVM and its dual Y carried to N(Y), the grid in one
+    pass, if at most TRANSFER_GAP_BITS wide, else a solve's. Bad input
+    raises first."""
     grid, mapped, duals, closed = _noise_points(ensemble, kind, grid, report)
     lower, upper, _ = certify(mapped, report.optimal_povm.factors, duals)
     rows, solved = [], []
@@ -569,6 +554,7 @@ class PropertyReport:
 ALL_PROPERTY_CHECKS = (
     "nonnegativity",
     "ceiling",
+    "optimality_gap",
     "independence_iff_zero",
     "povm_dominance",
     "data_processing",
@@ -597,23 +583,20 @@ def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
                       threads: int = 1) -> PropertyReport:
     """Run the structural-property suite against one ensemble.
 
-    Checks, by name: "nonnegativity" and "ceiling" of the optimized
-    leakage; "independence_iff_zero" (the leakage is at least the largest
-    exact two-state leakage over pairs of states, and zero when that is
-    zero); "povm_dominance" (I(X;Y) never exceeds the per-measurement
-    objective in bits, probed on the optimizer's POVM plus DOMINANCE_PROBES
-    random ones with d^2 outcomes, drawn from one generator seeded
-    cfg.seed + 1000; the optimizer's POVM and the probes are scored as one
-    stack); "data_processing" (a channel, a seeded random one if none is
-    supplied, cannot increase leakage);
-    "global_noise_exactness" (noise_curve, carrying the baseline report,
-    matches the closed-form global transfer on noise_grid);
-    "local_noise_bound" (per-qubit noise respects its upper bound; skipped,
-    before any point is solved, when the dimension is not a power of two).
-    data_processing and local_noise_bound settle each channel with one
-    _upper_or_solve on the baseline report.
-    A check passes only if every value it compares meets its tolerance, so
-    a NaN fails it. ``threads`` is accepted for compatibility and ignored.
+    Checks, by name: "nonnegativity" and "ceiling" of the optimized leakage;
+    "optimality_gap" (the certified interval is at most max(cfg.eps,
+    TRANSFER_GAP_BITS) bits wide); "independence_iff_zero" (the leakage is
+    at least the largest exact two-state leakage over pairs of states, and
+    zero when that is zero); "povm_dominance" (I(X;Y) never exceeds the
+    objective in bits, on the optimum and on DOMINANCE_PROBES random rank-one
+    POVMs with d^2 outcomes from one generator seeded cfg.seed + 1000);
+    "data_processing" (a channel, a seeded random one if none is given,
+    cannot increase leakage); "global_noise_exactness" (noise_curve matches
+    the closed-form global transfer on noise_grid); "local_noise_bound"
+    (per-qubit noise respects its bound; skipped, before any solve, unless d
+    is a power of two). The two channel checks settle each channel with one
+    _upper_or_solve on the baseline report. A NaN fails a check; ``threads``
+    is accepted for compatibility and ignored.
     """
     cfg = cfg or AscentConfig()
     unknown = set(checks) - set(ALL_PROPERTY_CHECKS)
@@ -632,6 +615,13 @@ def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
             "ceiling", q0 <= baseline.ceiling_bits + 1e-6,
             f"leakage_bits={q0:.9f} <= ceiling {baseline.ceiling_bits:.9f}"))
 
+    if "optimality_gap" in checks:
+        gap, tolerance = baseline.gap_bits, max(cfg.eps, TRANSFER_GAP_BITS)
+        results.append(PropertyCheck(
+            "optimality_gap", gap <= tolerance,
+            f"certified gap {gap:.3e} bits <= {tolerance:.0e}, "
+            f"stop reason {baseline.traces[0].stop_reason}"))
+
     if "independence_iff_zero" in checks:
         # Any pair of states is a two-symbol sub-ensemble, whose exact
         # leakage is a lower bound on q0; one measure serves both sides.
@@ -645,9 +635,8 @@ def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
     if "povm_dominance" in checks:
         probes = random_povm_factors(ensemble.dim, ensemble.dim ** 2,
                                      DOMINANCE_PROBES, cfg.seed + 1000)
-        info, bits = _probe_scores(ensemble, np.concatenate(
-            [baseline.optimal_povm.factors[None], probes]))
-        gaps = info - bits
+        gaps = np.concatenate([np.subtract(*_probe_scores(ensemble, factors))
+                               for factors in (baseline.optimal_povm.factors[None], probes)])
         results.append(PropertyCheck(
             "povm_dominance", bool(np.all(gaps <= 1e-9)),
             f"max I(X;Y) - log2(objective) = {np.max(gaps):.3e} "

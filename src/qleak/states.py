@@ -330,26 +330,22 @@ def _factors(columns: np.ndarray, outcomes: int) -> np.ndarray:
     return columns.reshape(len(columns), outcomes, -1).transpose(1, 0, 2)
 
 
-def _products_and_traces(states: np.ndarray, columns: np.ndarray, rank: int,
-                         work=(None, None)):
+def _products_and_traces(states: np.ndarray, columns: np.ndarray, rank: int):
     """The one trace kernel, on the _columns (d, m r) of one POVM with factors
     of rank r, or on a leading stack of them, and states (S..., |X|, d, d).
     Returns the products rho^x H as (..., S..., |X|, d, m, r) and the complex
     traces tr(rho^x H_y H_y^dag) as (..., S..., |X|, m). Each POVM of a stack
     gets the same matrix product as when it is alone, so its values do not
     depend on the others. States and POVMs meet only here, so this is their
-    one dimension check. ``work`` may name two arrays to write into in place
-    of new ones: the matrix product (..., S... |X| d, m r) and the products
-    times the conjugate columns (shaped as the products)."""
+    one dimension check."""
     if states.shape[-1] != columns.shape[-2]:
         raise DimensionMismatchError(
             f"ensemble dim {states.shape[-1]} != POVM dim {columns.shape[-2]}")
     lead, (dim, width) = columns.shape[:-2], columns.shape[-2:]
     sets, blocks = states.shape[:-2], (dim, width // rank, rank)
-    products = np.matmul(states.reshape(-1, dim), columns, out=work[0])
-    products = products.reshape(lead + sets + blocks)
-    traces = np.multiply(products, columns.conj().reshape(lead + (1,) * len(sets) + blocks),
-                         out=work[1]).sum(axis=(-3, -1))
+    products = (states.reshape(-1, dim) @ columns).reshape(lead + sets + blocks)
+    traces = (products * columns.conj().reshape(lead + (1,) * len(sets) + blocks)).sum(
+        axis=(-3, -1))
     return products, traces
 
 

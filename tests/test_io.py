@@ -23,7 +23,7 @@ from qleak.exceptions import (
     InvalidProbabilityError,
     UnsupportedDimensionError,
 )
-from qleak.states import DensityOperator, depolarizing_global
+from qleak.states import DensityOperator, DepolarizingChannel, depolarizing_global
 from helpers import map_state, random_density
 
 
@@ -377,4 +377,4 @@ class TestSchemaFuzz:
         except Exception as exc:  # noqa: BLE001 - the exit-code contract decides
             assert _exit_code(exc) in (EXIT_INPUT, EXIT_UNSUPPORTED)
             return
-        assert isinstance(channel, KrausChannel)
+        assert isinstance(channel, (KrausChannel, DepolarizingChannel))

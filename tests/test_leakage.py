@@ -34,10 +34,12 @@ from qleak.states import random_povm_factors
 from qleak.exceptions import (
     DimensionMismatchError,
     InvalidProbabilityError,
+    NumericalFailureError,
     UnsupportedDimensionError,
 )
-from helpers import (criterion5_fuzz, cyclic_orbit, orbit_leakage, product_ensemble,
-                     pure_gram, random_density, random_ensemble, random_pure)
+from helpers import (criterion5_fuzz, cyclic_orbit, fuzz_stream, orbit_leakage,
+                     product_ensemble, pure_gram, random_density, random_ensemble,
+                     random_pure)
 
 
 def count_solves(monkeypatch):
@@ -233,12 +235,12 @@ class TestComputeLeakage:
         rng = np.random.default_rng(1)
         e = random_ensemble(3, 4, rng)
         report = compute_leakage(e, AscentConfig(restarts=4, seed=9))
-        assert report.leakage_bits == max(report.restart_leakages)
-        assert report.best_restart == int(np.argmax(report.restart_leakages))
+        assert report.restart_leakages == [report.leakage_bits]
+        assert report.best_restart == 0
         assert report.leakage_bits <= report.ceiling_bits + 1e-6
         assert report.leakage_bits >= -1e-9
-        assert len(report.traces) == 4
-        assert report.optimal_povm.dim == 3
+        assert len(report.traces) == 1
+        assert report.optimal_povm.factors.shape == (4, 3, 3)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_traces_monotone_under_backtracking(self, seed):
@@ -296,106 +298,124 @@ class TestComputeLeakage:
         assert report.leakage_bits <= 1.0 + 1e-6
 
 
-class TestStackedRestarts:
-    """All restarts of a solve advance as one stack, and each restart still
-    computes exactly what it computes alone."""
+class TestInteriorPoint:
+    """compute_leakage is one primal-dual solve of the min-error
+    discrimination SDP: its certified interval contains each exact value,
+    is at most cfg.eps bits wide, and is never inverted."""
 
-    CASES = {
-        "index8": (lambda: encode_index(8), AscentConfig(restarts=3, seed=0)),
-        # Restarts leave the stack at different passes: one by eps, the
-        # others at the cap.
-        "capped qubits": (lambda: random_ensemble(2, 4, np.random.default_rng(4)),
-                          AscentConfig(restarts=4, max_iters=150, eps=1e-10, seed=0)),
-        "capped qutrits": (lambda: random_ensemble(3, 3, np.random.default_rng(0)),
-                           AscentConfig(restarts=3, max_iters=60, seed=2)),
-        "index4 backtracking": (lambda: encode_index(4),
-                                AscentConfig(mu=10.0, restarts=3, seed=0)),
-    }
-
-    @pytest.mark.parametrize("case", CASES)
-    def test_restart_matches_a_solo_solve(self, case):
-        make, cfg = self.CASES[case]
-        ensemble = make()
+    @staticmethod
+    def certified(ensemble, cfg, label):
+        """The report, checked: at most 1e-9 bits wide, not stopped by the
+        cap, and the upper end before certify's max not below the lower end
+        beyond roundoff."""
         report = compute_leakage(ensemble, cfg)
-        for i, trace in enumerate(report.traces):
-            alone = compute_leakage(
-                ensemble, dataclasses.replace(cfg, restarts=1, seed=cfg.seed + i))
-            assert alone.traces[0].rows() == trace.rows()
-            assert alone.traces[0] == trace   # converged, stop reason, backtracks
-            if i == report.best_restart:
-                assert np.array_equal(alone.optimal_povm.factors,
-                                      report.optimal_povm.factors)
+        states = ensemble.state_stack()
+        lower = certify(states, report.optimal_povm.factors, report.dual)[0]
+        upper = leakage._dual_upper(states, report.dual)[0]
+        assert report.traces[0].stop_reason != "max_iters", label
+        assert report.gap_bits <= 1e-9, label
+        assert upper >= lower * (1.0 - leakage.INVERSION_RTOL), label
+        return report
 
-    def test_restart_starts_from_random_povm_of_its_seed(self):
-        ensemble, cfg = encode_amplitude_3bit(), AscentConfig(restarts=4, max_iters=2, seed=3)
-        for i, trace in enumerate(compute_leakage(ensemble, cfg).traces):
-            start = random_povm(8, 64, cfg.seed + i)
-            assert trace.objectives[0] == leakage_objective(ensemble, start)[0]
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_index_interval_contains_log2_dim(self, dim):
+        cfg = AscentConfig()
+        report = self.certified(encode_index(dim), cfg, dim)
+        assert report.leakage_bits <= math.log2(dim) + 1e-12
+        assert math.log2(dim) <= report.upper_bound_bits + 1e-12
+        assert report.gap_bits <= cfg.eps and report.converged_flags == [True]
 
-    def test_capped_case_mixes_stop_reasons(self):
-        make, cfg = self.CASES["capped qubits"]
-        reasons = [t.stop_reason for t in compute_leakage(make(), cfg).traces]
-        assert set(reasons) == {"eps", "max_iters"}
+    def test_amplitude3_interval_contains_the_orbit_value(self):
+        cfg, ensemble = AscentConfig(), encode_amplitude_3bit()
+        exact = orbit_leakage(ensemble)
+        assert exact == pytest.approx(1.899968626953, abs=1e-12)
+        report = self.certified(ensemble, cfg, "amplitude3")
+        assert report.leakage_bits <= exact <= report.upper_bound_bits
+        assert report.gap_bits <= cfg.eps and report.converged_flags == [True]
 
-    @pytest.mark.parametrize("ensemble, cfg", [
-        (encode_index(4), AscentConfig(mu=10.0, restarts=3, max_iters=300, seed=0)),
-        (flat_ensemble(), AscentConfig(restarts=2, seed=0)),
-        (encode_amplitude_3bit(), AscentConfig(restarts=2, max_iters=40, seed=1)),
-    ])
-    def test_one_whitening_per_step_trial(self, monkeypatch, ensemble, cfg):
-        calls = count_whitening(monkeypatch)
-        report = compute_leakage(ensemble, cfg)
-        trials = [t.iterations[-1] + t.backtracks for t in report.traces]
-        # One matrix per random start, one per iteration, one per halving...
-        assert sum(calls["inv_sqrt_psd"]) == cfg.restarts + sum(trials)
-        # ...in one stacked call for all starts and one per pass, and a pass
-        # runs while any restart still makes a step trial.
-        assert len(calls["inv_sqrt_psd"]) == 1 + max(trials)
-        assert calls["random_povm"] == []
+    def test_criterion5_fuzz_stream_is_certified_to_1e_9_bits(self):
+        for i, ensemble, cfg in fuzz_stream():
+            self.certified(ensemble, cfg, f"fuzz #{i}")
 
-    def test_seed0_iteration_sums_and_values_are_pinned(self):
-        # Pinned from the solver that whitened each restart in its own call;
-        # whitening the stack in one call changes no bit.
-        for ensemble, iters, bits in ((encode_index(8), 120, 2.999999999991361),
-                                      (encode_amplitude_3bit(), 262, 1.899968626671067),
-                                      (encode_index(4), 115, 1.999999999994585)):
-            report = compute_leakage(ensemble, AscentConfig(seed=0))
-            assert sum(t.iterations[-1] for t in report.traces) == iters
-            assert report.leakage_bits == bits
+    def test_one_element_per_symbol(self):
+        ensemble = encode_index(4)
+        report = compute_leakage(ensemble)
+        assert report.optimal_povm.factors.shape == (4, 4, 4)
+        # Element x guesses symbol x.
+        assert leakage_objective(ensemble, report.optimal_povm)[2] == list(ensemble.symbols)
 
-    def test_stop_reasons(self):
-        converged = compute_leakage(encode_index(4), AscentConfig(restarts=2, seed=0))
-        assert [t.stop_reason for t in converged.traces] == ["eps", "eps"]
-        capped = compute_leakage(encode_amplitude_3bit(),
-                                 AscentConfig(restarts=2, max_iters=3, seed=0))
-        assert [t.stop_reason for t in capped.traces] == ["max_iters"] * 2
-        assert capped.converged_flags == [False, False]
+    def test_trace_is_monotone_with_primal_steps(self):
+        report = compute_leakage(random_ensemble(3, 4, np.random.default_rng(6)))
+        (trace,) = report.traces
+        assert trace.step_sizes[0] == 0.0
+        assert all(0.0 < step <= leakage.STEP_FRACTION for step in trace.step_sizes[1:])
+        assert np.diff(trace.objectives).min() >= 0.0
+        assert leakage._bits(trace.objectives[-1]) == report.leakage_bits
 
-    def test_hold_at_the_step_floor_counts_as_converged(self):
-        # No step raises the objective of an indistinguishable ensemble, and
-        # roundoff lowers it, so every restart halves its step down to MU_MIN.
-        report = compute_leakage(flat_ensemble(), AscentConfig(restarts=2, seed=0))
-        for trace in report.traces:
-            assert trace.stop_reason == "step_floor" and trace.converged
-            assert trace.iterations == [0, 1]
-            assert trace.step_sizes[-1] == leakage.MU_MIN
-            assert trace.objectives[1] == trace.objectives[0]
-            assert trace.backtracks == math.ceil(
-                math.log2(AscentConfig().mu / leakage.MU_MIN))
+    def test_mu_restarts_and_seed_do_not_change_a_solve(self):
+        ensemble = random_ensemble(3, 4, np.random.default_rng(2))
+        base = compute_leakage(ensemble, AscentConfig())
+        for cfg in (AscentConfig(mu=0.1), AscentConfig(restarts=3), AscentConfig(seed=7)):
+            other = compute_leakage(ensemble, cfg)
+            assert other.traces == base.traces
+            assert np.array_equal(other.optimal_povm.factors, base.optimal_povm.factors)
+            assert np.array_equal(other.dual, base.dual)
+
+    def test_cap_stops_with_max_iters(self):
+        report = compute_leakage(encode_amplitude_3bit(), AscentConfig(max_iters=3))
+        (trace,) = report.traces
+        assert trace.stop_reason == "max_iters" and not trace.converged
+        assert trace.iterations == [0, 1, 2, 3]
+        assert report.leakage_bits <= 1.899968626953 <= report.upper_bound_bits
+
+    def test_failed_step_keeps_the_last_certified_iterate(self, monkeypatch):
+        original, steps = leakage._interior_step, []
+
+        def fails_third(*args):
+            steps.append(1)
+            if len(steps) == 3:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return original(*args)
+
+        monkeypatch.setattr(leakage, "_interior_step", fails_third)
+        report = compute_leakage(encode_amplitude_3bit())
+        (trace,) = report.traces
+        assert trace.stop_reason == "stall" and trace.iterations == [0, 1, 2]
+        assert report.leakage_bits <= 1.899968626953 <= report.upper_bound_bits
+        lower = certify(encode_amplitude_3bit().state_stack(), report.optimal_povm.factors,
+                        report.dual)[0]
+        assert leakage._bits(lower) == report.leakage_bits
+
+    def test_uncertified_start_raises(self, monkeypatch):
+        def refuse(*args):
+            raise NumericalFailureError("completeness defect 1.000e-06 exceeds 1e-08")
+
+        monkeypatch.setattr(leakage, "_certificate", refuse)
+        with pytest.raises(NumericalFailureError, match="completeness"):
+            compute_leakage(encode_index(2))
+
+    @pytest.mark.parametrize("shift, raises", [(1e-13, False), (1e-6, True)])
+    def test_inverted_interval_raises(self, monkeypatch, shift, raises):
+        # Upper ends lowered by shift (relative) invert index4's interval
+        # once the solve converges; within INVERSION_RTOL it is roundoff.
+        original = leakage._dual_upper
+
+        def lowered(states, dual):
+            upper, point = original(states, dual)
+            return upper * (1.0 - shift), point
+
+        monkeypatch.setattr(leakage, "_dual_upper", lowered)
+        if raises:
+            with pytest.raises(NumericalFailureError, match="inverted"):
+                compute_leakage(encode_index(4))
+        else:
+            assert compute_leakage(encode_index(4)).traces[0].stop_reason == "gap"
 
 
 class TestDefaultStep:
-    """The default step 0.7 converges where 0.1 runs into the cap, and on
-    the builtins it loses no value and widens no certified interval against
-    step 0.1 or the former default 0.5, at seeds 0, 10 and 20."""
-
-    def test_fuzz_2_stops_by_eps_only_at_the_default_step(self):
-        ensemble, cfg = criterion5_fuzz(2)
-        assert (ensemble.dim, ensemble.size) == (4, 4)
-        report = compute_leakage(ensemble, cfg)
-        assert [t.stop_reason for t in report.traces] == ["eps"] * 4
-        short = compute_leakage(ensemble, dataclasses.replace(cfg, mu=0.1))
-        assert [t.stop_reason for t in short.traces] == ["max_iters"] * 4
+    """The step mu no longer changes a solve: on the builtins the default
+    0.7 loses no value and widens no certified interval against step 0.1 or
+    the former default 0.5, at seeds 0, 10 and 20."""
 
     @staticmethod
     def assert_default_loses_nothing(name, step):
@@ -558,8 +578,9 @@ class TestProductOracle:
     interval of a product must overlap the sum of its factors' intervals."""
 
     @pytest.mark.parametrize("dims, sizes, seed", [
-        ((2, 2), (2, 3), 0), ((2, 2), (3, 3), 1), ((2, 4), (2, 3), 2), ((2, 4), (3, 3), 3)],
-        ids=["2x2 (2, 3)", "2x2 (3, 3)", "2x4 (2, 3)", "2x4 (3, 3)"])
+        ((2, 2), (2, 3), 0), ((2, 2), (3, 3), 1), ((2, 4), (2, 3), 2), ((2, 4), (3, 3), 3),
+        ((4, 4), (3, 3), 4)],
+        ids=["2x2 (2, 3)", "2x2 (3, 3)", "2x4 (2, 3)", "2x4 (3, 3)", "4x4 (3, 3)"])
     def test_interval_overlaps_the_sum_of_the_factors(self, dims, sizes, seed):
         rng = np.random.default_rng(seed)
         first, second = (random_ensemble(d, n, rng) for d, n in zip(dims, sizes))
@@ -636,46 +657,27 @@ class TestCertificate:
         assert (lower, upper) == (2.0, 2.0) and math.log2(upper) == 1.0
         assert np.array_equal(point, np.eye(2))
 
-    def test_adds_no_whitening_or_random_povm(self, monkeypatch):
-        calls = count_whitening(monkeypatch)
-        cfg = AscentConfig(restarts=3, seed=0)
-        report = compute_leakage(encode_index(4), cfg)
-        trials = [t.iterations[-1] + t.backtracks for t in report.traces]
-        assert sum(calls["inv_sqrt_psd"]) == 3 + sum(trials)
-        assert len(calls["inv_sqrt_psd"]) == 1 + max(trials)
-        assert calls["random_povm"] == []
 
-
-def count_whitening(monkeypatch):
-    """Record the matrices that each inv_sqrt_psd call whitens (the leading
-    size of its stack) and every random_povm call, as seen by leakage."""
-    calls = {"inv_sqrt_psd": [], "random_povm": []}
-    for module, name in ((leakage.linalg, "inv_sqrt_psd"), (leakage, "random_povm"),
-                         (states, "random_povm")):
-        original = getattr(module, name)
-
-        def counted(*args, _original=original, _name=name, **kwargs):
-            # A stack of k matrices counts k; any other first argument counts 1.
-            calls[_name].append(math.prod(np.shape(args[0])[:-2]))
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def widen_later_dual_ends(monkeypatch):
-    """Patch leakage._dual_upper so that the first call, the baseline solve's
-    own certificate, keeps its end and every later end, each carried one
-    included, is 8: 3 bits, which settles no channel of 2-bit index4. A
-    call on a grid gets an 8 per point."""
-    original, calls = leakage._dual_upper, []
+def widen_carried_dual_ends(monkeypatch):
+    """Patch leakage._dual_upper so that every end formed outside a solve,
+    each carried one, is 8: 3 bits, which settles no channel of an ensemble
+    of dimension at most 4. A call on a grid gets an 8 per point; the solves
+    keep their own ends."""
+    original_upper, original_solve, solving = leakage._dual_upper, leakage.compute_leakage, []
 
     def widened(states, dual):
-        upper, point = original(states, dual)
-        calls.append(upper)
-        return (upper if len(calls) == 1 else np.full(np.shape(upper), 8.0)), point
+        upper, point = original_upper(states, dual)
+        return (upper if solving else np.full(np.shape(upper), 8.0)), point
+
+    def solve(*args, **kwargs):
+        solving.append(True)
+        try:
+            return original_solve(*args, **kwargs)
+        finally:
+            solving.pop()
 
     monkeypatch.setattr(leakage, "_dual_upper", widened)
+    monkeypatch.setattr(leakage, "compute_leakage", solve)
 
 
 def index4_exact(kind, p):
@@ -750,7 +752,7 @@ class TestTransfer:
     def test_invalid_probability_raises_before_any_solve(self, monkeypatch, kind):
         # Widened carried ends would make p = 0.5 need a solve; the bad p
         # after it still raises first.
-        widen_later_dual_ends(monkeypatch)
+        widen_carried_dual_ends(monkeypatch)
         ensemble, cfg = encode_index(4), AscentConfig(restarts=2, seed=0)
         report = compute_leakage(ensemble, cfg)
         calls = count_solves(monkeypatch)
@@ -887,8 +889,8 @@ class TestVerifyProperties:
         assert by_name["independence_iff_zero"].passed
 
     def test_nearly_flat_ensemble_passes_independence(self):
-        # Distinguishable by 1e-7: the optimized leakage (1.03e-7 bits) is
-        # nonzero and lies 4e-8 below the exact pairwise value 1.44e-7.
+        # Distinguishable by 1e-7: the optimized leakage is nonzero and
+        # lies within 1e-10 bits of the exact pairwise value 1.44e-7.
         e = Ensemble(["a", "b"], [DensityOperator.maximally_mixed(2),
                                   DensityOperator(np.diag([0.5 + 1e-7, 0.5 - 1e-7]))])
         report = verify_properties(e, AscentConfig(seed=0),
@@ -936,8 +938,8 @@ class TestVerifyProperties:
         monkeypatch.setattr(leakage, "_mutual_information", one_nan)
         (check,) = verify_properties(encode_index(2), AscentConfig(restarts=2, seed=0),
                                      checks=("povm_dominance",)).checks
-        # The optimum and the 100 probes: ten full blocks and one of 1.
-        assert blocks == [leakage.DOMINANCE_BLOCK] * 10 + [1]
+        # The optimum in its own call, then the 100 probes in ten full blocks.
+        assert blocks == [1] + [leakage.DOMINANCE_BLOCK] * 10
         assert not check.passed and "nan" in check.detail
 
     def test_nan_closed_form_fails_noise_checks(self, monkeypatch):
@@ -971,7 +973,7 @@ class TestVerifyProperties:
         worst = max(compute_leakage(ensemble.transform(depolarizing("local", p, 4)),
                                     cfg).leakage_bits - noisy_leakage_local_bound(q0, p, 2)
                     for p in grid)
-        widen_later_dual_ends(monkeypatch)
+        widen_carried_dual_ends(monkeypatch)
         calls = count_solves(monkeypatch)
         (check,) = verify_properties(ensemble, cfg, checks=("local_noise_bound",),
                                      noise_grid=grid).checks
@@ -996,9 +998,13 @@ class TestVerifyProperties:
         assert fresh <= bound + 1e-3 and fresh <= upper + 1e-9
 
     def test_wide_fuzz_gap_is_solved(self, monkeypatch):
-        # Fuzz #15's certified gap is 0.2 bits, so its carried upper end
-        # lies 0.15 bits above the bound and only a solve can settle p.
+        # Fuzz #15's own carried upper end settles p = 0.4 (its certified
+        # gap is below 1e-9 bits); widened, only a solve can settle it.
         ensemble, cfg = criterion5_fuzz(15)
+        (check,) = verify_properties(ensemble, cfg, checks=("local_noise_bound",),
+                                     noise_grid=(0.4,)).checks
+        assert check.passed and check.detail.endswith("certified 1/1, solved p []")
+        widen_carried_dual_ends(monkeypatch)
         calls = count_solves(monkeypatch)
         (check,) = verify_properties(ensemble, cfg, checks=("local_noise_bound",),
                                      noise_grid=(0.4,)).checks
@@ -1015,6 +1021,22 @@ class TestVerifyProperties:
         ensemble, cfg = criterion5_fuzz(index)
         return ensemble, cfg, random_kraus_channel(ensemble.dim, ensemble.dim,
                                                    seed=3000 + index)
+
+    def test_optimality_gap_check(self):
+        cfg = AscentConfig(restarts=2, seed=0)
+        (check,) = verify_properties(encode_amplitude_3bit(), cfg,
+                                     checks=("optimality_gap",)).checks
+        assert check.passed and check.detail.endswith("<= 1e-06, stop reason gap")
+        (capped,) = verify_properties(encode_amplitude_3bit(), AscentConfig(max_iters=2),
+                                      checks=("optimality_gap",)).checks
+        assert not capped.passed and capped.detail.endswith("stop reason max_iters")
+
+    def test_nan_gap_fails_the_optimality_gap_check(self, monkeypatch):
+        original = leakage.compute_leakage
+        monkeypatch.setattr(leakage, "compute_leakage", lambda ensemble, cfg=None: (
+            dataclasses.replace(original(ensemble, cfg), upper_bound_bits=float("nan"))))
+        (check,) = verify_properties(encode_index(2), checks=("optimality_gap",)).checks
+        assert not check.passed and "nan" in check.detail
 
     @pytest.mark.parametrize("index", [None, 1, 6, 20])
     def test_data_processing_is_certified_without_a_solve(self, monkeypatch, index):
@@ -1038,7 +1060,7 @@ class TestVerifyProperties:
     def test_wide_carried_upper_end_falls_back_to_a_solve(self, monkeypatch):
         ensemble, cfg, channel = self.data_processing_case(None)
         direct = compute_leakage(ensemble.transform(channel), cfg).leakage_bits
-        widen_later_dual_ends(monkeypatch)
+        widen_carried_dual_ends(monkeypatch)
         calls = count_solves(monkeypatch)
         (check,) = verify_properties(ensemble, cfg, channel=channel,
                                      checks=("data_processing",)).checks
