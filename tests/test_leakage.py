@@ -412,6 +412,55 @@ class TestInteriorPoint:
             assert compute_leakage(encode_index(4)).traces[0].stop_reason == "gap"
 
 
+class TestStackedRestarts:
+    """restarts is kept for the command line and changes no solve: a solve
+    at any restart count and seed computes exactly what a one-restart solve
+    at each seed it would have stacked computes."""
+
+    CASES = {
+        "index8": (lambda: encode_index(8), AscentConfig(restarts=3, seed=0)),
+        # The caps lie above the iterations these solves take.
+        "capped qubits": (lambda: random_ensemble(2, 4, np.random.default_rng(4)),
+                          AscentConfig(restarts=4, max_iters=150, eps=1e-10, seed=0)),
+        "capped qutrits": (lambda: random_ensemble(3, 3, np.random.default_rng(0)),
+                           AscentConfig(restarts=3, max_iters=60, seed=2)),
+        "index4 backtracking": (lambda: encode_index(4),
+                                AscentConfig(mu=10.0, restarts=3, seed=0)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_restart_matches_a_solo_solve(self, case):
+        make, cfg = self.CASES[case]
+        ensemble = make()
+        report = compute_leakage(ensemble, cfg)
+        assert len(report.traces) == 1 and report.traces[0].converged
+        for i in range(cfg.restarts):
+            alone = compute_leakage(
+                ensemble, dataclasses.replace(cfg, restarts=1, seed=cfg.seed + i))
+            assert alone.traces[0].rows() == report.traces[0].rows()
+            assert alone.traces == report.traces   # stop reason, step sizes
+            assert np.array_equal(alone.optimal_povm.factors, report.optimal_povm.factors)
+            assert np.array_equal(alone.dual, report.dual)
+
+    def test_capped_case_mixes_stop_reasons(self):
+        # The capped-qubits solve closes its gap under its own cap and stops
+        # by the cap when the cap is 3.
+        make, cfg = self.CASES["capped qubits"]
+        reasons = [t.stop_reason for max_iters in (cfg.max_iters, 3)
+                   for t in compute_leakage(
+                       make(), dataclasses.replace(cfg, max_iters=max_iters)).traces]
+        assert reasons == ["gap", "max_iters"]
+
+    def test_stop_reasons(self):
+        converged = compute_leakage(encode_index(4), AscentConfig(restarts=2, seed=0))
+        assert [t.stop_reason for t in converged.traces] == ["gap"]
+        assert converged.converged_flags == [True]
+        capped = compute_leakage(encode_amplitude_3bit(),
+                                 AscentConfig(restarts=2, max_iters=3, seed=0))
+        assert [t.stop_reason for t in capped.traces] == ["max_iters"]
+        assert capped.converged_flags == [False]
+
+
 class TestDefaultStep:
     """The step mu no longer changes a solve: on the builtins the default
     0.7 loses no value and widens no certified interval against step 0.1 or
