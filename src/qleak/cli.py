@@ -7,7 +7,7 @@ pairs read back by `Povm.from_factors`, and the solve's one trace CSV.
 
 Exit codes: 0 success, 2 invalid input or schema, 3 numerical failure,
 4 unsupported configuration (e.g. per-qubit noise on a non-power-of-two
-dimension), 5 property-check failure.
+dimension, or an input too large for memory), 5 property-check failure.
 """
 
 from __future__ import annotations
@@ -186,40 +186,37 @@ def _write_json(path: Path, payload: dict, manifest: dict):
     path.write_text(json.dumps({**payload, "manifest": manifest}, sort_keys=True) + "\n")
 
 
-def _write_csvs(manifest: dict, header: list[str], tables):
-    """Write each (path, rows) of ``tables`` as a CSV led by one manifest line."""
-    line = "# manifest: " + json.dumps(manifest, sort_keys=True) + "\n"
-    for path, rows in tables:
-        with path.open("w", newline="") as fh:
-            fh.write(line)
-            csv.writer(fh).writerows([header, *rows])
+def _write_csv(path: Path, manifest: dict, header: list[str], rows):
+    """Write ``rows`` under ``header`` as a CSV led by one manifest line."""
+    with path.open("w", newline="") as fh:
+        fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
+        csv.writer(fh).writerows([header, *rows])
 
 
 def _cmd_compute(run: _Run) -> int:
-    result_path, *trace_paths = run.start("result.json", "trace_restart_00.csv")
-    report = compute_leakage(run.ensemble, run.cfg)   # one solve: one trace
+    result_path, trace_path = run.start("result.json", "trace_restart_00.csv")
+    report = compute_leakage(run.ensemble, run.cfg)
+    (trace,) = report.traces
     manifest = run.manifest()
     _write_json(result_path, {
         "leakage_bits": report.leakage_bits,
-        "objective": report.traces[report.best_restart].objectives[-1],
+        "objective": trace.objectives[-1],
         "ceiling_bits": report.ceiling_bits,
         "upper_bound_bits": report.upper_bound_bits,
         "gap_bits": report.gap_bits,
-        "best_restart": report.best_restart,
-        "restart_leakages": report.restart_leakages,
         "converged": report.converged_flags,
-        "stop_reasons": [trace.stop_reason for trace in report.traces],
+        "stop_reasons": [trace.stop_reason],
         "optimal_povm_factors": matrix_to_pairs(report.optimal_povm.factors),
         "povm_symbols": list(run.ensemble.symbols),
         "dual": matrix_to_pairs(report.dual),
     }, manifest)
-    _write_csvs(manifest, ["iteration", "objective", "leakage_bits", "step_size"],
-                [(path, trace.rows()) for path, trace in zip(trace_paths, report.traces)])
+    _write_csv(trace_path, manifest, ["iteration", "objective", "leakage_bits", "step_size"],
+               trace.rows())
     print(f"leakage_bits={report.leakage_bits:.6f} "
           f"in [{report.leakage_bits:.9f}, {report.upper_bound_bits:.9f}] "
           f"(gap {report.gap_bits:.1e} bits, ceiling {report.ceiling_bits:.6f}), "
-          f"stop reason {report.traces[0].stop_reason} after "
-          f"{report.traces[0].iterations[-1]} iterations -> {result_path}")
+          f"stop reason {trace.stop_reason} after "
+          f"{trace.iterations[-1]} iterations -> {result_path}")
     return EXIT_OK
 
 
@@ -246,7 +243,7 @@ def _cmd_noise_sweep(run: _Run) -> int:
                             p_steps=args.p_steps, noiseless_leakage_bits=q0,
                             noiseless_upper_bound_bits=report.upper_bound_bits,
                             solved_p=solved)
-    _write_csvs(manifest, ["p", "direct_leakage_bits", "formula_bits", "ratio"], [(path, rows)])
+    _write_csv(path, manifest, ["p", "direct_leakage_bits", "formula_bits", "ratio"], rows)
     print(f"noiseless leakage_bits={q0:.6f} "
           f"(certified <= {report.upper_bound_bits:.6f}), {len(rows)} grid points, "
           f"{len(solved)} solved directly -> {path}")
@@ -272,7 +269,7 @@ def _cmd_verify(run: _Run) -> int:
 
 
 def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, UnsupportedDimensionError):
+    if isinstance(exc, (UnsupportedDimensionError, MemoryError)):
         return EXIT_UNSUPPORTED
     if isinstance(exc, (NumericalFailureError, NotPsdError, InvalidChannelError,
                         np.linalg.LinAlgError)):
@@ -291,7 +288,7 @@ def main(argv=None) -> int:
         return args.run(_Run(args, ensemble, digest, cfg))
     except Exception as exc:  # noqa: BLE001 - mapped to the exit-code contract
         code = _exit_code(exc)
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return code
 
 

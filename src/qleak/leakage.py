@@ -44,7 +44,6 @@ from .states import (
     _check_probability,
     _columns,
     _depolarize,
-    _factors,
     _noise_qubits,
     _products_and_traces,
     _unit_trace,
@@ -150,17 +149,16 @@ class LeakageReport:
     """Outcome of a leakage computation: the leakage lies in the certified
     interval [leakage_bits, upper_bound_bits] (see certify), the value of
     optimal_povm (one element per symbol, in the ensemble's order) and
-    log2 tr(dual) for a d x d dual >= every rho^x. The one solve is restart
-    0, so traces and restart_leakages have one entry each."""
+    log2 tr(dual) for a d x d dual >= every rho^x. traces holds the one
+    solve's trace."""
 
     leakage_bits: float
     optimal_povm: Povm
-    best_restart: int
     traces: list[ConvergenceTrace]
-    restart_leakages: list[float]
     ceiling_bits: float
     dual: np.ndarray
     upper_bound_bits: float
+    best_restart = 0        # the index of that trace; not a field
 
     @property
     def converged_flags(self) -> list[bool]:
@@ -192,26 +190,6 @@ def leakage_objective(ensemble: Ensemble, povm: Povm):
     objective = float(_objectives(traces))
     winners = [ensemble.symbols[i] for i in traces.argmax(axis=0)]
     return objective, _bits(objective), winners
-
-
-def _evaluate(states: np.ndarray, columns: np.ndarray, rank: int = 1):
-    """Score an iterate, columns (d, m r) with factors of rank r: its
-    objective and the winning products rho^{x*(y)} H_y (d, m r) that a step
-    tilts toward, both from the one trace kernel."""
-    products, traces = _products_and_traces(states, columns, rank)   # (|X|, d, m, r)
-    traces = traces.real
-    # picked[y] = products[x*(y), :, y], x*(y) the winner of outcome y
-    picked = products[traces.argmax(axis=0), :, np.arange(traces.shape[1])]
-    return _objectives(traces), picked.transpose(1, 0, 2).reshape(columns.shape)
-
-
-def _step(picked: np.ndarray, columns: np.ndarray, mu: float) -> np.ndarray:
-    """One ascent step of an iterate (see _evaluate); the new columns."""
-    drift = picked @ columns.conj().T                               # sum_z rho^{x*(z)} F_z
-    grown = columns + mu * (picked - drift.conj().T @ columns)      # G_y^dag H_y
-    normalizer = grown @ grown.conj().T
-    reg = WHITENING_REG * np.trace(normalizer).real / len(columns)
-    return linalg.inv_sqrt_psd(normalizer, reg) @ grown
 
 
 def certify(states: np.ndarray, factors: np.ndarray, dual: np.ndarray):
@@ -252,13 +230,21 @@ def ascent_step(ensemble: Ensemble, povm: Povm, mu: float) -> Povm:
     regularizer; elements of any rank are accepted.
     """
     _check_positive("step size mu", mu, MU_MAX)
-    columns = _columns(povm.factors)
-    picked = _evaluate(ensemble.state_stack(), columns, povm.factors.shape[2])[1]
-    return Povm.from_factors(_factors(_step(picked, columns, float(mu)), len(povm)))
+    mu, columns = float(mu), _columns(povm.factors)                 # (d, m r)
+    products, traces = _products_and_traces(ensemble.state_stack(), povm.factors)
+    traces = traces.real
+    # picked[y] = products[x*(y), :, y], x*(y) the winner of outcome y
+    picked = _columns(products[traces.argmax(axis=0), :, np.arange(traces.shape[1])])
+    drift = picked @ columns.conj().T                               # sum_z rho^{x*(z)} F_z
+    grown = columns + mu * (picked - drift.conj().T @ columns)      # G_y^dag H_y
+    normalizer = grown @ grown.conj().T
+    reg = WHITENING_REG * np.trace(normalizer).real / len(columns)
+    stepped = linalg.inv_sqrt_psd(normalizer, reg) @ grown
+    # The inverse of _columns: block y of the (d, m r) columns is H_y.
+    return Povm.from_factors(stepped.reshape(len(columns), len(povm), -1).transpose(1, 0, 2))
 
 
-def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
-                    threads: int = 1) -> LeakageReport:
+def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None) -> LeakageReport:
     """Maximal leakage by one primal-dual interior-point solve of min-error
     discrimination, max sum_x tr(rho^x E_x) over POVMs {E_x}, whose dual is
     min tr Y s.t. Z_x = Y - rho^x >= 0 (Koenig, Renner and Schaffner 2009).
@@ -271,8 +257,8 @@ def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
     most cfg.eps bits apart, "max_iters" after cfg.max_iters steps, or
     "stall" when a step fails numerically. It raises NumericalFailureError
     if the start cannot be certified or the interval is inverted beyond
-    INVERSION_RTOL. cfg.mu, cfg.restarts, cfg.seed, the prior and
-    ``threads`` do not change a solve.
+    INVERSION_RTOL. cfg.mu, cfg.restarts, cfg.seed and the prior do not
+    change a solve.
     """
     cfg = cfg or AscentConfig()
     states = ensemble.state_stack()
@@ -311,10 +297,9 @@ def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None,
             except (np.linalg.LinAlgError, NumericalFailureError):
                 trace.stop_reason = "stall"
         break
-    bits = _bits(lower)
     return LeakageReport(
-        leakage_bits=bits, optimal_povm=optimal, best_restart=0, traces=[trace],
-        restart_leakages=[bits], ceiling_bits=min(math.log2(size), math.log2(dim)),
+        leakage_bits=_bits(lower), optimal_povm=optimal, traces=[trace],
+        ceiling_bits=min(math.log2(size), math.log2(dim)),
         dual=best_dual, upper_bound_bits=_bits(max(upper, lower)))
 
 
@@ -461,11 +446,8 @@ def _probe_scores(ensemble: Ensemble, factors: np.ndarray):
     stack (k, m, d, r), such as the rank-one ones random_povm_factors draws;
     scored through the one trace kernel, DOMINANCE_BLOCK POVMs per call."""
     states, info, bits = ensemble.state_stack(), [], []
-    (count, outcomes, dim, rank) = factors.shape
-    columns = factors.transpose(0, 2, 1, 3).reshape(count, dim, outcomes * rank)
-    for start in range(0, count, DOMINANCE_BLOCK):
-        traces = _products_and_traces(states, columns[start:start + DOMINANCE_BLOCK],
-                                      rank)[1].real
+    for start in range(0, len(factors), DOMINANCE_BLOCK):
+        traces = conditional_traces(states, factors[start:start + DOMINANCE_BLOCK]).real
         info.append(_mutual_information(ensemble.priors, np.clip(traces, 0.0, 1.0)))
         bits.append(np.log2(np.maximum(_objectives(traces), 1.0)))
     return np.concatenate(info), np.concatenate(bits)

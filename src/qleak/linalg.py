@@ -95,34 +95,33 @@ def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def inv_sqrt_psd(s, reg: float | np.ndarray = 0.0) -> np.ndarray:
+def inv_sqrt_psd(s, reg: float = 0.0) -> np.ndarray:
     """Regularized inverse square root of a PSD matrix or of a stack of them
     (the last two axes), each as when it is alone.
 
     Computes ``V diag((lambda_i + reg)^(-1/2)) V^dag`` after clamping
-    eigenvalues in [-ATOL, 0) to zero. ``reg`` is a scalar or has the
-    stack's leading shape, one per matrix; an entry ``<= 0`` is replaced by
-    machine epsilon so the result is always finite.
+    eigenvalues in [-ATOL, 0) to zero. ``reg`` is one scalar for every
+    matrix; a ``reg <= 0`` is replaced by machine epsilon so the result is
+    always finite.
 
     Raises
     ------
     ValueError
-        If reg is not finite or has another shape.
+        If reg is not a finite scalar.
     NotPsdError
         If any eigenvalue of any matrix lies below the PSD floor.
     """
     vals, vecs = herm_eig(s)
     reg = np.asarray(reg, dtype=np.float64)
-    if reg.shape not in ((), vals.shape[:-1]) or not np.isfinite(reg).all():
-        raise ValueError(f"reg must be finite, a scalar or of the stack's shape "
-                         f"{vals.shape[:-1]}, got {reg!r}")
+    if reg.ndim or not np.isfinite(reg):
+        raise ValueError(f"reg must be a finite scalar, got {reg!r}")
     low = vals[..., 0]
     if low.ndim:        # a stack; a single matrix skips the reduction's cost
         low = low.min()
     if not low >= -ATOL:
         raise NotPsdError(f"eigenvalue {low:.3e} below PSD floor {-ATOL:.0e}")
-    reg = np.where(reg > 0.0, reg, np.finfo(np.float64).eps)
-    inv = 1.0 / np.sqrt(np.maximum(vals, 0.0) + reg[..., None])
+    reg = reg if reg > 0.0 else np.finfo(np.float64).eps
+    inv = 1.0 / np.sqrt(np.maximum(vals, 0.0) + reg)
     return hermitize((vecs * inv[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
 
 

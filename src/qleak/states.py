@@ -213,8 +213,8 @@ class Povm:
         # below drops the eigenvalues in [-POVM_ATOL, 0) that pass above.
         _check_completeness(stack.sum(axis=0))
         # Keep each element's eigenpairs above d * eps * lambda_max and pad
-        # with zero columns up to the largest rank r; the ascent maps a zero
-        # column to zero, so padding never changes the iterate.
+        # with zero columns up to the largest rank r, so that elements of
+        # mixed rank share one (m, d, r) factor array.
         keep = vals > dim * np.finfo(np.float64).eps * vals[:, -1:]
         rank = max(int(keep.sum(axis=1).max()), 1)
         scales = np.sqrt(np.where(keep, vals, 0.0)[:, -rank:])
@@ -313,36 +313,35 @@ def _unit_trace(mapped: np.ndarray) -> np.ndarray:
 
 
 def conditional_traces(states: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """tr(rho^x H_y H_y^dag) for a state stack (..., |X|, d, d) and POVM
-    factors (m, d, r), as a complex (..., |X|, m) array; the imaginary part
-    is roundoff."""
-    return _products_and_traces(states, _columns(factors), factors.shape[2])[1]
+    """tr(rho^x H_y H_y^dag) for a state stack (S..., |X|, d, d) and POVM
+    factors (m, d, r) or a leading stack of them (K..., m, d, r), as a
+    complex (K..., S..., |X|, m) array; the imaginary part is roundoff."""
+    return _products_and_traces(states, factors)[1]
 
 
 def _columns(factors: np.ndarray) -> np.ndarray:
-    """POVM factors (m, d, r) side by side as one (d, m r) matrix: H_y's r
-    columns are block y. This is the layout of the trace kernel's input."""
-    return factors.transpose(1, 0, 2).reshape(factors.shape[1], -1)
+    """POVM factors (K..., m, d, r) side by side as (K..., d, m r) matrices:
+    H_y's r columns are block y. This is the layout of the trace kernel's
+    input."""
+    *lead, outcomes, dim, rank = factors.shape
+    return factors.swapaxes(-3, -2).reshape(*lead, dim, outcomes * rank)
 
 
-def _factors(columns: np.ndarray, outcomes: int) -> np.ndarray:
-    """The inverse of _columns for a POVM with the given number of outcomes."""
-    return columns.reshape(len(columns), outcomes, -1).transpose(1, 0, 2)
-
-
-def _products_and_traces(states: np.ndarray, columns: np.ndarray, rank: int):
-    """The one trace kernel, on the _columns (d, m r) of one POVM with factors
-    of rank r, or on a leading stack of them, and states (S..., |X|, d, d).
-    Returns the products rho^x H as (..., S..., |X|, d, m, r) and the complex
-    traces tr(rho^x H_y H_y^dag) as (..., S..., |X|, m). Each POVM of a stack
+def _products_and_traces(states: np.ndarray, factors: np.ndarray):
+    """The one trace kernel, on the factors (m, d, r) of one POVM, or on a
+    leading stack of them (K..., m, d, r), and states (S..., |X|, d, d).
+    Returns the products rho^x H as (K..., S..., |X|, d, m, r) and the
+    complex traces tr(rho^x H_y H_y^dag) as (K..., S..., |X|, m), from one
+    matrix product with the _columns of the factors. Each POVM of a stack
     gets the same matrix product as when it is alone, so its values do not
     depend on the others. States and POVMs meet only here, so this is their
     one dimension check."""
-    if states.shape[-1] != columns.shape[-2]:
+    if states.shape[-1] != factors.shape[-2]:
         raise DimensionMismatchError(
-            f"ensemble dim {states.shape[-1]} != POVM dim {columns.shape[-2]}")
-    lead, (dim, width) = columns.shape[:-2], columns.shape[-2:]
-    sets, blocks = states.shape[:-2], (dim, width // rank, rank)
+            f"ensemble dim {states.shape[-1]} != POVM dim {factors.shape[-2]}")
+    columns = _columns(factors)
+    lead, (outcomes, dim, rank) = factors.shape[:-3], factors.shape[-3:]
+    sets, blocks = states.shape[:-2], (dim, outcomes, rank)
     products = (states.reshape(-1, dim) @ columns).reshape(lead + sets + blocks)
     traces = (products * columns.conj().reshape(lead + (1,) * len(sets) + blocks)).sum(
         axis=(-3, -1))
@@ -475,25 +474,20 @@ def random_povm(dim: int, size: int, seed: int) -> Povm:
 
 def random_povm_factors(dim: int, size: int, count: int, seed: int) -> np.ndarray:
     """Factors (count, size, dim, 1) of ``count`` random rank-one POVMs, built
-    as random_povm describes from one generator (see _random_rows)."""
+    as random_povm describes from one generator: default_rng(seed) draws all
+    real parts of the Gaussians g_y, then all imaginary parts, and h_y =
+    S^(-1/2) g_y with S = sum_y g_y g_y^dag of its own POVM. One inv_sqrt_psd
+    call whitens every draw as if alone, and one stacked eigh checks
+    completeness at POVM_ATOL."""
     if size < dim:
         raise DimensionMismatchError(f"random POVM needs size >= dim for a full-rank "
                                      f"normalizer, got size {size} < dim {dim}")
-    return _random_rows((count, size, dim), [seed])[..., None]
-
-
-def _random_rows(shape: tuple, seeds) -> np.ndarray:
-    """The one whitening path of random POVMs: rows h_y, (count, m, d) per
-    seed in seed order. Each default_rng(seed) draws all real parts of its
-    Gaussians g_y, then all imaginary parts; h_y = S^(-1/2) g_y, S = sum_y
-    g_y g_y^dag of its own draw. One inv_sqrt_psd call whitens every draw as
-    if alone, and one stacked eigh checks completeness at POVM_ATOL."""
-    g = np.concatenate([rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                        for rng in map(np.random.default_rng, seeds)]) / np.sqrt(2.0)
+    rng, shape = np.random.default_rng(seed), (count, size, dim)
+    g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     w = linalg.inv_sqrt_psd(np.einsum("cyi,cyj->cij", g, g.conj()))
     h = g @ w.swapaxes(1, 2)  # h_y = w @ g_y since w is symmetric under transpose-conj
     _check_completeness(h.swapaxes(1, 2) @ h.conj())
-    return h
+    return h[..., None]
 
 
 def random_kraus_channel(dim: int, n_ops: int, seed: int) -> KrausChannel:

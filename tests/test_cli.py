@@ -41,7 +41,6 @@ class TestCompute:
         assert result["leakage_bits"] == pytest.approx(1.0, abs=1e-3)
         assert result["ceiling_bits"] == pytest.approx(1.0)
         # One solve, whatever --restarts says: one trace and one element per symbol.
-        assert result["restart_leakages"] == [result["leakage_bits"]]
         assert result["converged"] == [True]
         assert len(result["optimal_povm_factors"]) == 2
         assert result["povm_symbols"] == ["1", "2"]
@@ -122,6 +121,32 @@ class TestCompute:
         assert config["restarts"] == 10
         # One solve writes one trace, whatever the restart count.
         assert len(list((tmp_path / "c").glob("trace_restart_*.csv"))) == 1
+
+    def test_result_keys_are_pinned(self, tmp_path):
+        # One solve: no restart-indexed keys such as best_restart.
+        out = tmp_path / "run"
+        assert main(["compute", "--ensemble", "builtin:index2", "--out", str(out)]) == 0
+        assert sorted(read_result(out)) == [
+            "ceiling_bits", "converged", "dual", "gap_bits", "leakage_bits", "manifest",
+            "objective", "optimal_povm_factors", "povm_symbols", "stop_reasons",
+            "upper_bound_bits"]
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 8.00 TiB for an array with shape "
+                     "(1099511627776,) and data type float64"), "Unable to allocate 8.00 TiB"),
+        (MemoryError(), "MemoryError"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_exits_4_without_output(self, tmp_path, monkeypatch, capsys,
+                                                  error, message):
+        # An input too large to hold, such as a 2^40-dimensional ensemble file,
+        # fails while it is resolved; no test allocates that much for real.
+        def too_large(spec):
+            raise error
+
+        monkeypatch.setattr(cli, "resolve_ensemble", too_large)
+        assert main(["compute", "--ensemble", "huge.json", "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "o").exists()
 
     def test_povm_size_option_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

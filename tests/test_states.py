@@ -23,7 +23,7 @@ from qleak import (
     random_povm,
 )
 from qleak.linalg import herm_eig, inv_sqrt_psd
-from qleak.states import _depolarize, _random_rows, qubit_count, random_povm_factors
+from qleak.states import _depolarize, qubit_count, random_povm_factors
 from qleak.exceptions import (
     DimensionMismatchError,
     InvalidChannelError,
@@ -613,14 +613,6 @@ class TestRandomPovm:
             Povm.from_factors(factors)          # complete within POVM_ATOL
         assert np.array_equal(random_povm_factors(dim, size, 1, seed=7)[0],
                               random_povm(dim, size, seed=7).factors)
-
-    @pytest.mark.parametrize("dim", [2, 3, 8])
-    def test_rows_of_several_seeds_are_random_povm_per_seed(self, dim):
-        # compute_leakage's random starts: one draw per seed, whitened together.
-        rows = _random_rows((1, dim * dim, dim), range(5, 9))
-        assert rows.shape == (4, dim * dim, dim)
-        for i, seed in enumerate(range(5, 9)):
-            assert np.array_equal(rows[i][:, :, None], random_povm(dim, dim * dim, seed).factors)
 
     def test_stack_checks_size(self):
         with pytest.raises(DimensionMismatchError):
