@@ -3,18 +3,20 @@
 The leakage of an ensemble {p(x), rho^x} is the best multiplicative guessing
 advantage over all measurements, log2( sup_POVM sum_y max_x tr(rho^x F_y) ).
 Grouping the outcomes by their winning symbol leaves one element E_x per
-symbol: min-error discrimination at the uniform prior, an SDP that
-compute_leakage solves with one primal-dual interior-point method. The value
-never depends on the prior, is zero exactly for indistinguishable ensembles,
-and is capped by min(log2 |X|, log2 d) (tr(rho^x F_y) <= tr F_y; the paper
-states 2 log2 d). Several verified guesses instead of one do not change it.
-ascent_step, one step of a projected subgradient ascent, is kept as a
-measurement update whose fixed points include the optimum.
+symbol: min-error discrimination at the uniform prior, an SDP that _solve
+solves on any PSD stack with one primal-dual interior-point method;
+compute_leakage solves an ensemble's states. The value never depends on the
+prior, is zero exactly for indistinguishable ensembles, and is capped by
+min(log2 |X|, log2 d) (tr(rho^x F_y) <= tr F_y; the paper states 2 log2 d).
+Several verified guesses instead of one do not change it. ascent_step, one
+step of a projected subgradient ascent, is kept as a measurement update
+whose fixed points include the optimum.
 
 Each solve is certified: its POVM gives the lower bound and a dual point
 Y >= rho^x the upper one, both formed by certify. Both move through a
 channel N without a new solve, Y as N(Y): noise_curve carries both, and
-verify's channel checks carry N(Y) alone (_upper_or_solve); a noise grid
+verify's channel checks carry N(Y) alone (_upper_or_solve); a point whose
+carried interval is too wide hands its mapped stack to _solve. A noise grid
 moves as one stack (_noise_points). Closed-form companions: the two-state
 value log2(1 + T), a brute-force qubit search, the global depolarizing
 transfer and the per-qubit noise bound; verify_properties turns the
@@ -60,11 +62,11 @@ from .states import (
 MU_MIN, MU_MAX = 1e-6, 10.0
 WHITENING_REG = 1e-12
 
-# compute_leakage steps by STEP_FRACTION of the largest PSD-keeping step and
-# recenters after a step shorter than RECENTER_BELOW (degenerate ensembles
-# stall near the target otherwise); it certifies iterates whose own gap is at
-# most max(eps, CERTIFY_BELOW_BITS) bits (certifying all doubles a small
-# solve's cost), and raises on an upper end INVERSION_RTOL below the lower.
+# _solve steps by STEP_FRACTION of the largest PSD-keeping step and recenters
+# after a step shorter than RECENTER_BELOW (degenerate ensembles stall near
+# the target otherwise); it certifies iterates whose own gap is at most
+# max(eps, CERTIFY_BELOW_BITS) bits (certifying all doubles a small solve's
+# cost), and raises on an upper end INVERSION_RTOL below the lower.
 STEP_FRACTION, RECENTER_BELOW = 0.98, 0.2
 CERTIFY_BELOW_BITS, INVERSION_RTOL = 1e-6, 1e-12
 
@@ -245,23 +247,29 @@ def ascent_step(ensemble: Ensemble, povm: Povm, mu: float) -> Povm:
 
 
 def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None) -> LeakageReport:
-    """Maximal leakage by one primal-dual interior-point solve of min-error
-    discrimination, max sum_x tr(rho^x E_x) over POVMs {E_x}, whose dual is
-    min tr Y s.t. Z_x = Y - rho^x >= 0 (Koenig, Renner and Schaffner 2009).
-
-    From E_x = I/|X| and Y = (max_x lambda_max(rho^x) + 1) I it takes
-    _interior_step steps, certifies (_certificate) the start, the last step
-    the cap allows and each iterate whose own gap is at most max(cfg.eps,
-    CERTIFY_BELOW_BITS) bits, and reports the best lower end (its POVM) and
-    upper end (its dual point). It stops with reason "gap" once they lie at
-    most cfg.eps bits apart, "max_iters" after cfg.max_iters steps, or
-    "stall" when a step fails numerically. It raises NumericalFailureError
-    if the start cannot be certified or the interval is inverted beyond
-    INVERSION_RTOL. cfg.mu, cfg.restarts, cfg.seed and the prior do not
-    change a solve.
-    """
+    """Maximal leakage by one _solve of the ensemble's states (see there for
+    the stop reasons); cfg.mu, cfg.restarts, cfg.seed and the prior change no solve."""
     cfg = cfg or AscentConfig()
-    states = ensemble.state_stack()
+    lower, upper, povm, dual, trace = _solve(ensemble.state_stack(), cfg.eps, cfg.max_iters)
+    return LeakageReport(
+        leakage_bits=_bits(lower), optimal_povm=povm, traces=[trace],
+        ceiling_bits=min(math.log2(ensemble.size), math.log2(ensemble.dim)),
+        dual=dual, upper_bound_bits=_bits(max(upper, lower)))
+
+
+def _solve(states: np.ndarray, eps: float, max_iters: int):
+    """One primal-dual interior-point solve of max sum_x tr(S_x E_x) over
+    POVMs {E_x} for a PSD stack S (|X|, d, d) of any traces, zero rows
+    included; its dual is min tr Y s.t. Z_x = Y - S_x >= 0 (Koenig, Renner and
+    Schaffner 2009). From E_x = I/|X| and Y = (max_x lambda_max(S_x) + 1) I it
+    takes _interior_step steps, certifies (_certificate) the start, the last
+    step max_iters allows and each iterate whose own gap is at most max(eps,
+    CERTIFY_BELOW_BITS) bits, and returns (lower, upper, POVM, dual point,
+    trace): the best ends, in objective units, with their POVM and point. It
+    stops with reason "gap" once upper <= lower 2^eps, "max_iters" after
+    max_iters steps, or "stall" when a step fails numerically, and raises
+    NumericalFailureError if the start cannot be certified or the interval is
+    inverted beyond INVERSION_RTOL."""
     size, dim = states.shape[:2]
     povm = np.repeat(np.eye(dim, dtype=np.complex128)[None] / size, size, axis=0)
     dual = (np.linalg.eigvalsh(states)[:, -1].max() + 1.0) * np.eye(dim)
@@ -279,28 +287,25 @@ def compute_leakage(ensemble: Ensemble, cfg: AscentConfig | None = None) -> Leak
                     f"certified interval inverted: upper end {upper!r} < lower end {lower!r}")
         trace.objectives.append(lower)
         trace.step_sizes.append(step)
-        if _bits(upper) - _bits(lower) <= cfg.eps:
+        if upper <= lower * 2.0 ** eps:
             trace.stop_reason = "gap"
-        elif len(trace.objectives) > cfg.max_iters:
+        elif len(trace.objectives) > max_iters:
             trace.stop_reason = "max_iters"
         else:
             try:
                 povm, dual, step = _interior_step(states, povm, dual)
-                # tr Y against sum_x tr(rho^x E_x) = tr Y - sum_x tr(E_x Z_x)
+                # tr Y against sum_x tr(S_x E_x) = tr Y - sum_x tr(E_x Z_x)
                 # bounds the certified gap; vdot(Z, E) is that sum for Z = Z^dag.
                 total = float(np.trace(dual).real)
-                own = _bits(total) - _bits(total - np.vdot(dual - states, povm).real)
-                due = (own <= max(cfg.eps, CERTIFY_BELOW_BITS)
-                       or len(trace.objectives) == cfg.max_iters)
+                primal = total - np.vdot(dual - states, povm).real
+                due = (total <= primal * 2.0 ** max(eps, CERTIFY_BELOW_BITS)
+                       or len(trace.objectives) == max_iters)
                 certificate = _certificate(states, povm, dual) if due else None
                 continue
             except (np.linalg.LinAlgError, NumericalFailureError):
                 trace.stop_reason = "stall"
         break
-    return LeakageReport(
-        leakage_bits=_bits(lower), optimal_povm=optimal, traces=[trace],
-        ceiling_bits=min(math.log2(size), math.log2(dim)),
-        dual=best_dual, upper_bound_bits=_bits(max(upper, lower)))
+    return lower, upper, optimal, best_dual, trace
 
 
 def _certificate(states: np.ndarray, povm: np.ndarray, dual: np.ndarray):
@@ -507,7 +512,7 @@ def noise_curve(ensemble: Ensemble, kind: str, grid, cfg: AscentConfig,
         elif _bits(high) - _bits(low) <= TRANSFER_GAP_BITS:
             bits = _bits(low)
         else:
-            bits = compute_leakage(ensemble._mapped(mapped[i]), cfg).leakage_bits
+            bits = _bits(_solve(mapped[i], cfg.eps, cfg.max_iters)[0])
             solved.append(p)
         rows.append((p, bits, closed[i]))
     return rows, solved
@@ -545,17 +550,16 @@ ALL_PROPERTY_CHECKS = (
 )
 
 
-def _upper_or_solve(ensemble: Ensemble, mapped: np.ndarray, duals: np.ndarray,
-                    lines, cfg: AscentConfig):
-    """Yield (bits, solved) per point, a test that the leakage of ``ensemble``
-    through the point's channel N, states ``mapped`` (P, |X|, d', d'), is <=
-    its line: certify's upper end from a dual point carried to N(Y) in
-    ``duals`` (P, d', d') if it meets the line, else a solve's value. The
-    dual alone carries it, since the channel may change the dimension."""
+def _upper_or_solve(mapped: np.ndarray, duals: np.ndarray, lines, cfg: AscentConfig):
+    """Yield (bits, solved) per point, a test that the leakage of the states
+    ``mapped`` (P, |X|, d', d') through the point's channel N is <= its line:
+    certify's upper end from a dual point carried to N(Y) in ``duals``
+    (P, d', d') if it meets the line, else a _solve's lower end. The dual
+    alone carries it, since the channel may change the dimension."""
     for stack, upper, line in zip(mapped, _dual_upper(mapped, duals)[0].tolist(), lines):
         upper = _bits(upper)
         yield (upper, False) if upper <= line else (
-            compute_leakage(ensemble._mapped(stack), cfg).leakage_bits, True)
+            _bits(_solve(stack, cfg.eps, cfg.max_iters)[0]), True)
 
 
 def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
@@ -631,7 +635,7 @@ def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
         # the 1e-6 covers POVM_ATOL completeness and the channel's ATOL slack.
         upper = baseline.upper_bound_bits
         ((after, solve),) = _upper_or_solve(
-            ensemble, ensemble.transform(chan).state_stack()[None],
+            ensemble.transform(chan).state_stack()[None],
             chan.apply(baseline.dual)[None], [upper + 1e-6], cfg)
         results.append(PropertyCheck(
             "data_processing", after <= upper + 1e-6,
@@ -655,7 +659,7 @@ def verify_properties(ensemble: Ensemble, cfg: AscentConfig | None = None,
             results.append(PropertyCheck(
                 "local_noise_bound", True, f"skipped: {exc}", skipped=True))
         else:
-            settled = list(_upper_or_solve(ensemble, mapped, duals,
+            settled = list(_upper_or_solve(mapped, duals,
                                            [bound + 1e-3 for bound in bounds], cfg))
             excesses = [value - bound for (value, _), bound in zip(settled, bounds)]
             solved = [p for p, (_, solve) in zip(grid, settled) if solve]

@@ -170,13 +170,9 @@ class Ensemble:
         if channel.dim_in != self.dim:
             raise DimensionMismatchError(
                 f"channel expects dim {channel.dim_in}, state has dim {self.dim}")
-        return self._mapped(_unit_trace(channel.apply(self._stack)))
-
-    def _mapped(self, stack: np.ndarray) -> "Ensemble":
-        """Labels and priors with a stack of _unit_trace outputs, unchecked."""
-        out = Ensemble.__new__(Ensemble)
+        out = Ensemble.__new__(Ensemble)        # skips __init__'s checks of the states
         out.symbols, out.priors = self.symbols, self.priors
-        out._stack = _frozen(stack)
+        out._stack = _frozen(_unit_trace(channel.apply(self._stack)))
         return out
 
     def is_indistinguishable(self, atol: float = 1e-9) -> bool:

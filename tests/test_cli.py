@@ -251,16 +251,15 @@ class TestNoiseSweep:
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        """Counts compute_leakage calls from the CLI and from noise_curve."""
+        """Counts solves, the CLI's through compute_leakage and noise_curve's."""
         calls = []
-        original = leakage.compute_leakage
+        original = leakage._solve
 
         def counted(*args, **kwargs):
             calls.append(args[0])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "compute_leakage", counted)
-        monkeypatch.setattr(leakage, "compute_leakage", counted)
+        monkeypatch.setattr(leakage, "_solve", counted)
         return calls
 
     @pytest.mark.parametrize("channel", ["global", "local"])

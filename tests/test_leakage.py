@@ -43,15 +43,15 @@ from helpers import (criterion5_fuzz, cyclic_orbit, fuzz_stream, orbit_leakage,
 
 
 def count_solves(monkeypatch):
-    """Record every ensemble that leakage.compute_leakage is called on."""
+    """Record every state stack that leakage._solve is called on."""
     calls = []
-    original = leakage.compute_leakage
+    original = leakage._solve
 
-    def counted(ensemble, cfg=None):
-        calls.append(ensemble)
-        return original(ensemble, cfg)
+    def counted(states, eps, max_iters):
+        calls.append(states)
+        return original(states, eps, max_iters)
 
-    monkeypatch.setattr(leakage, "compute_leakage", counted)
+    monkeypatch.setattr(leakage, "_solve", counted)
     return calls
 
 
@@ -410,6 +410,59 @@ class TestInteriorPoint:
             assert compute_leakage(encode_index(4)).traces[0].stop_reason == "gap"
 
 
+class TestBareStack:
+    """_solve takes any PSD stack S (|X|, d, d), of any traces and with zero
+    rows, and returns certified ends of max sum_x tr(S_x E_x) in objective
+    units."""
+
+    EPS, MAX_ITERS = 1e-9, 10000
+
+    def test_weighted_stack_is_certified_by_its_own_povm_and_dual(self):
+        # Guessing Z = f(X) is min-error discrimination of the weighted
+        # states S_z = sum_{x: f(x) = z} p(x) rho_x.
+        rng = np.random.default_rng(25)
+        ensemble = random_ensemble(3, 6, rng)
+        priors = rng.dirichlet(np.ones(ensemble.size))
+        f = rng.integers(0, 3, ensemble.size)
+        stack = np.zeros((3, 3, 3), dtype=np.complex128)
+        np.add.at(stack, f, priors[:, None, None] * ensemble.state_stack())
+        lower, upper, povm, dual, trace = leakage._solve(stack, self.EPS, self.MAX_ITERS)
+        assert trace.stop_reason == "gap" and upper <= lower * 2.0 ** self.EPS
+        low, high, _ = certify(stack, povm.factors, dual)
+        assert low == lower
+        assert high == pytest.approx(upper, rel=1e-12, abs=0.0)
+        # A guess of the likeliest z, or any POVM, is no better than certain.
+        masses = np.bincount(f, weights=priors, minlength=3)
+        assert masses.max() <= upper and lower <= 1.0 + 1e-12
+
+    def test_halved_index4_with_a_zero_row_brackets_two(self):
+        # A zero state leaves Z_x = Y, so its Cholesky factor stays defined.
+        stack = np.concatenate([encode_index(4).state_stack() / 2.0,
+                                np.zeros((1, 4, 4))])
+        lower, upper, povm, _, trace = leakage._solve(stack, self.EPS, self.MAX_ITERS)
+        assert trace.stop_reason == "gap"
+        assert lower <= 2.0 + 1e-12 and 2.0 <= upper + 1e-12
+        assert povm.factors.shape[0] == 5
+
+    def test_all_zero_stack_stops_by_the_gap_at_zero(self):
+        # Both ends are 0, so a stop test on log2(upper / lower) would divide
+        # by zero; upper <= lower 2^eps holds at once.
+        lower, upper, _, _, trace = leakage._solve(
+            np.zeros((3, 4, 4), dtype=np.complex128), self.EPS, self.MAX_ITERS)
+        assert lower == upper == 0.0
+        assert trace.stop_reason == "gap" and trace.iterations == [0]
+
+    def test_scaled_stack_scales_its_ends(self):
+        scale = 1.0 / 8.0
+        stack = random_ensemble(3, 4, np.random.default_rng(7)).state_stack()
+        lower, upper, *_ = leakage._solve(stack, self.EPS, self.MAX_ITERS)
+        low, high, *_ = leakage._solve(scale * stack, self.EPS, self.MAX_ITERS)
+        # Both intervals hold the optimum, so each end moves by at most a gap.
+        gap = max(upper - lower, (high - low) / scale)
+        assert abs(low - scale * lower) <= scale * gap
+        assert abs(high - scale * upper) <= scale * gap
+
+
 class TestStackedRestarts:
     """restarts is kept for the command line and changes no solve: a solve
     at any restart count and seed computes exactly what a one-restart solve
@@ -710,7 +763,7 @@ def widen_carried_dual_ends(monkeypatch):
     each carried one, is 8: 3 bits, which settles no channel of an ensemble
     of dimension at most 4. A call on a grid gets an 8 per point; the solves
     keep their own ends."""
-    original_upper, original_solve, solving = leakage._dual_upper, leakage.compute_leakage, []
+    original_upper, original_solve, solving = leakage._dual_upper, leakage._solve, []
 
     def widened(states, dual):
         upper, point = original_upper(states, dual)
@@ -724,7 +777,7 @@ def widen_carried_dual_ends(monkeypatch):
             solving.pop()
 
     monkeypatch.setattr(leakage, "_dual_upper", widened)
-    monkeypatch.setattr(leakage, "compute_leakage", solve)
+    monkeypatch.setattr(leakage, "_solve", solve)
 
 
 def index4_exact(kind, p):
